@@ -51,11 +51,11 @@ adversary()
  * message so typos in long sweep invocations fail fast.
  *
  *   --jobs N              sweep worker threads (default: hw concurrency)
- *   --retries N           extra attempts per failed task (default 0)
- *   --task-timeout-ms N   wall-clock watchdog per task attempt
- *   --task-max-events N   simulated-event budget per task attempt
+ *   --task-timeout-ms N   wall-clock watchdog per task
+ *   --task-max-events N   simulated-event budget per task
  *   --resume              skip tasks checkpointed in the run manifest
- *   --only N              run only task index N of every supervised sweep
+ *   --only N              run only task index N of the outermost
+ *                         supervised sweep (nested sweeps run in full)
  *   --manifest PATH       manifest file (default <prog>.manifest.json)
  *   --adversary NAME      add a misbehaving tenant (queue-flood, gc-storm,
  *                         square-wave, flush-storm, slow-drain) in benches
@@ -97,9 +97,6 @@ parseArgs(int argc, char **argv)
             }
             isolbench::sweep::setDefaultJobs(
                 static_cast<uint32_t>(jobs));
-        } else if (std::strcmp(argv[i], "--retries") == 0) {
-            opt.retries =
-                static_cast<uint32_t>(uintValue(argc, argv, i));
         } else if (std::strcmp(argv[i], "--task-timeout-ms") == 0) {
             opt.task_timeout_ms =
                 static_cast<double>(uintValue(argc, argv, i));
@@ -138,7 +135,7 @@ parseArgs(int argc, char **argv)
         } else {
             std::fprintf(stderr,
                          "%s: unknown argument '%s' (supported: --jobs N"
-                         " --retries N --task-timeout-ms N"
+                         " --task-timeout-ms N"
                          " --task-max-events N --resume --only N"
                          " --manifest PATH --adversary NAME"
                          " --check-invariants)\n", argv[0], argv[i]);
@@ -153,8 +150,8 @@ parseArgs(int argc, char **argv)
 
 /**
  * Run a supervised, checkpointed sweep of payload-producing tasks and
- * return the payloads (task order; "" where a task finally failed or
- * was skipped via --only). Task failures surface in the failure table
+ * return the payloads (task order; "" where a task failed or was
+ * skipped via --only). Task failures surface in the failure table
  * printed by emitSweepReport(), not as exceptions, so one bad grid
  * point cannot take down a whole figure.
  */

@@ -110,9 +110,9 @@ runFairness(Knob knob, uint32_t cgroups, bool weighted, FairnessMix mix,
     // seed, so the multi-seed std-dev loop fans out across the sweep
     // pool; the summaries are folded in repeat order afterwards to keep
     // the floating-point results identical to a sequential run. The
-    // supervised map adds watchdog/budget guards and retries per repeat
-    // (partial repeat statistics would silently skew the std-devs, so a
-    // repeat that exhausts its retries fails the whole point).
+    // supervised map adds watchdog/budget guards per repeat (partial
+    // repeat statistics would silently skew the std-devs, so a repeat
+    // that fails fails the whole point).
     // isol: parallel
     std::vector<RepeatResult> reps = supervisor::guardedMap<RepeatResult>(
         strCat(point_name, "-repeats"), opts.repeats, [&](size_t rep) {

@@ -203,8 +203,7 @@ runTradeoffSweep(Knob knob, PriorityAppKind kind, BeWorkload be,
 
     // Each configuration is an independent simulation; fan the grid out
     // across the sweep pool, results landing in config order. The
-    // supervised map adds watchdog/budget guards and retries per
-    // configuration.
+    // supervised map adds watchdog/budget guards per configuration.
     // isol: parallel
     return supervisor::guardedMap<TradeoffPoint>(
         strCat("d3-", knobName(knob), "-", priorityAppKindName(kind),

@@ -3,16 +3,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <new>
-#include <thread>
 
 #include "common/logging.hh"
-#include "common/rng.hh"
 #include "common/strings.hh"
 #include "isolbench/validate.hh"
 #include "sim/invariants.hh"
@@ -26,7 +23,7 @@ namespace
 {
 
 // Like the sweep engine, the supervisor is sanctioned cross-run shared
-// state: it coordinates retries and checkpoints and never feeds
+// state: it coordinates guards and checkpoints and never feeds
 // simulated decisions.
 
 // isol-lint: allow(D4): protects the options/report/manifest sinks
@@ -81,7 +78,7 @@ registerWorkerContextCapture()
     });
 }
 
-/** Install per-attempt budgets for the current thread, RAII-scoped. */
+/** Install per-task budgets for the current thread, RAII-scoped. */
 class GuardScope
 {
   public:
@@ -379,12 +376,10 @@ taskErrorKindName(TaskErrorKind kind)
 }
 
 TaskError
-classifyError(size_t task, uint32_t attempt,
-              const std::exception_ptr &error)
+classifyError(size_t task, const std::exception_ptr &error)
 {
     TaskError out;
     out.task = task;
-    out.attempt = attempt;
     if (!error) {
         out.message = "no exception";
         return out;
@@ -400,9 +395,8 @@ classifyError(size_t task, uint32_t attempt,
         out.kind = TaskErrorKind::kException;
         out.message = e.what();
         if (!e.failures().empty() && e.failures().front().error) {
-            out.kind = classifyError(task, attempt,
-                                     e.failures().front().error)
-                           .kind;
+            out.kind =
+                classifyError(task, e.failures().front().error).kind;
         }
     } catch (const sim::BudgetExceeded &e) {
         out.kind = TaskErrorKind::kResourceExhausted;
@@ -442,22 +436,6 @@ options()
     return g_options;
 }
 
-double
-backoffMs(const Options &options, size_t task, uint32_t attempt)
-{
-    if (attempt == 0)
-        return 0.0;
-    double base = options.backoff_base_ms;
-    for (uint32_t a = 1; a < attempt && base < options.backoff_cap_ms;
-         ++a)
-        base *= 2.0;
-    base = std::min(base, options.backoff_cap_ms);
-    // Jitter keyed on (seed, task, attempt): identical on every replay,
-    // independent of which worker runs the retry.
-    Rng rng(options.backoff_seed + task * 0x9E3779B9ull + attempt);
-    return base * (0.5 + 0.5 * rng.uniform());
-}
-
 std::vector<SweepReport>
 reports()
 {
@@ -480,22 +458,20 @@ failureTable()
     size_t tasks = 0;
     size_t completed = 0;
     size_t salvaged = 0;
-    size_t retried = 0;
     size_t failed = 0;
     bool any_errors = false;
     for (const SweepReport &r : all) {
         tasks += r.tasks;
         completed += r.completed;
         salvaged += r.salvaged;
-        retried += r.retried;
         failed += r.failed;
         any_errors = any_errors || !r.errors.empty() || r.salvaged > 0;
     }
 
     std::string out;
     if (any_errors) {
-        stats::Table table({"sweep", "error kind", "errors",
-                            "final-failed", "retried-ok", "salvaged"});
+        stats::Table table(
+            {"sweep", "error kind", "errors", "salvaged"});
         for (const SweepReport &r : all) {
             if (r.errors.empty() && r.salvaged == 0)
                 continue;
@@ -505,35 +481,23 @@ failureTable()
                 TaskErrorKind::kResourceExhausted};
             bool printed = false;
             for (TaskErrorKind kind : kKinds) {
-                size_t errors = 0;
-                size_t final_failed = 0;
-                for (const TaskError &e : r.errors) {
-                    if (e.kind != kind)
-                        continue;
-                    ++errors;
-                    if (std::find(r.failed_tasks.begin(),
-                                  r.failed_tasks.end(),
-                                  e.task) != r.failed_tasks.end())
-                        ++final_failed;
-                }
+                size_t errors = static_cast<size_t>(std::count_if(
+                    r.errors.begin(), r.errors.end(),
+                    [kind](const TaskError &e) { return e.kind == kind; }));
                 if (errors == 0)
                     continue;
                 table.addRow({r.name, taskErrorKindName(kind),
-                              strCat(errors), strCat(final_failed),
-                              strCat(r.retried), strCat(r.salvaged)});
+                              strCat(errors), strCat(r.salvaged)});
                 printed = true;
             }
-            if (!printed) {
-                table.addRow({r.name, "-", "0", "0", strCat(r.retried),
-                              strCat(r.salvaged)});
-            }
+            if (!printed)
+                table.addRow({r.name, "-", "0", strCat(r.salvaged)});
         }
         out += table.toAligned();
     }
     out += strCat("[supervisor] ", sweeps, " sweeps, ", tasks,
                   " tasks: ", completed, " completed, ", salvaged,
-                  " salvaged, ", retried, " retried-ok, ", failed,
-                  " failed\n");
+                  " salvaged, ", failed, " failed\n");
     return out;
 }
 
@@ -589,81 +553,48 @@ runImpl(const std::string &sweep_name, const std::vector<Task> &tasks,
         writeManifestLocked(opt.manifest_path);
     }
 
+    // --only selects a grid point of the outermost sweep; a sweep nested
+    // inside a guarded task is part of that point and runs in full.
+    const bool only_here = opt.only.has_value() && !guardActive();
     std::vector<size_t> pending;
     for (size_t i = 0; i < n; ++i) {
         if (done[i] != 0)
             continue;
-        if (opt.only && *opt.only != i) {
+        if (only_here && *opt.only != i) {
             ++report.skipped;
             continue;
         }
         pending.push_back(i);
     }
 
-    std::vector<char> ever_failed(n, 0);
-    for (uint32_t attempt = 0; !pending.empty(); ++attempt) {
-        std::vector<std::function<void()>> round;
-        round.reserve(pending.size());
-        for (size_t i : pending) {
-            round.push_back([&tasks, &payloads, &opt, i, attempt,
-                             checkpoint, &sweep_name] {
-                if (attempt > 0) {
-                    std::this_thread::sleep_for(
-                        std::chrono::duration<double, std::milli>(
-                            backoffMs(opt, i, attempt)));
-                }
-                std::string payload;
-                {
-                    GuardScope guard(opt);
-                    payload = tasks[i]();
-                }
-                payloads[i] = std::move(payload);
-                if (checkpoint) {
-                    std::lock_guard<std::mutex> lock(g_state_mutex);
-                    ManifestSweep &sweep = g_current[sweep_name];
-                    sweep.entries.push_back(
-                        ManifestEntry{i, digestOf(payloads[i]),
-                                      payloads[i]});
-                    writeManifestLocked(opt.manifest_path);
-                }
-            });
-        }
-
-        std::vector<sweep::TaskFailure> failures =
-            sweep::runCollect(std::move(round), jobs);
-
-        std::vector<size_t> still_failing;
-        for (const sweep::TaskFailure &f : failures) {
-            size_t task = pending[f.task];
-            report.errors.push_back(
-                classifyError(task, attempt, f.error));
-            ever_failed[task] = 1;
-            still_failing.push_back(task);
-        }
-        for (size_t i : pending) {
-            bool failed_now =
-                std::find(still_failing.begin(), still_failing.end(),
-                          i) != still_failing.end();
-            if (!failed_now) {
-                ++report.completed;
-                if (ever_failed[i] != 0)
-                    ++report.retried;
+    std::vector<std::function<void()>> work;
+    work.reserve(pending.size());
+    for (size_t i : pending) {
+        work.push_back([&tasks, &payloads, &opt, i, checkpoint,
+                        &sweep_name] {
+            std::string payload;
+            {
+                GuardScope guard(opt);
+                payload = tasks[i]();
             }
-        }
-        pending = std::move(still_failing);
-        if (attempt >= opt.retries)
-            break;
+            payloads[i] = std::move(payload);
+            if (checkpoint) {
+                std::lock_guard<std::mutex> lock(g_state_mutex);
+                ManifestSweep &sweep = g_current[sweep_name];
+                sweep.entries.push_back(
+                    ManifestEntry{i, digestOf(payloads[i]), payloads[i]});
+                writeManifestLocked(opt.manifest_path);
+            }
+        });
     }
 
-    report.failed = pending.size();
-    report.failed_tasks = std::move(pending);
-    std::sort(report.failed_tasks.begin(), report.failed_tasks.end());
-    std::sort(report.errors.begin(), report.errors.end(),
-              [](const TaskError &a, const TaskError &b) {
-                  if (a.attempt != b.attempt)
-                      return a.attempt < b.attempt;
-                  return a.task < b.task;
-              });
+    // runCollect reports failures in task-index order, and pending is
+    // ascending, so the errors come out sorted by task.
+    for (const sweep::TaskFailure &f :
+         sweep::runCollect(std::move(work), jobs))
+        report.errors.push_back(classifyError(pending[f.task], f.error));
+    report.failed = report.errors.size();
+    report.completed = pending.size() - report.failed;
 
     {
         std::lock_guard<std::mutex> lock(g_state_mutex);
@@ -693,17 +624,10 @@ void
 throwFailures(const SweepReport &report)
 {
     std::vector<sweep::TaskFailure> failures;
-    for (size_t task : report.failed_tasks) {
-        std::string message = "failed";
-        for (auto it = report.errors.rbegin(); it != report.errors.rend();
-             ++it) {
-            if (it->task == task) {
-                message = strCat(taskErrorKindName(it->kind), ": ",
-                                 it->message);
-                break;
-            }
-        }
-        failures.push_back(sweep::TaskFailure{task, message, nullptr});
+    for (const TaskError &e : report.errors) {
+        failures.push_back(sweep::TaskFailure{
+            e.task, strCat(taskErrorKindName(e.kind), ": ", e.message),
+            nullptr});
     }
     throw sweep::SweepError(std::move(failures));
 }

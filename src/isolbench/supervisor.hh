@@ -15,19 +15,19 @@
  *     runAll event-storm guard into a structured TaskError taxonomy
  *     (timeout | exception | invariant_violation | resource_exhausted)
  *     instead of tearing down the sweep;
- *   - retries failed tasks up to `--retries N` with capped exponential
- *     backoff whose jitter comes from the seeded Rng, so a replay of
- *     the same sweep is byte-identical;
  *   - checkpoints completed tasks (index + payload + digest) into a
  *     JSON run manifest written atomically, so `--resume` skips
  *     finished work after an interrupt and `--only <index>` re-runs a
- *     single failing task solo.
+ *     single failing task of the outermost sweep solo.
+ *
+ * Each task runs once: scenarios are pure functions of their config and
+ * seed, so a failed task would fail the same way again.
  *
  * Two entry points: run() supervises payload-producing tasks (each
  * returns the strings its caller will print, which is what makes
  * resumed stdout byte-identical), and guardedMap() supervises a typed
- * in-memory fan-out (the fairness repeats loop) with guards and retries
- * but no checkpointing. Every sweep records a SweepReport; benches
+ * in-memory fan-out (the fairness repeats loop) with guards but no
+ * checkpointing. Every sweep records a SweepReport; benches
  * print the aggregate failure table on stderr next to the self-profiler.
  */
 // isol: domain(coord)
@@ -59,11 +59,10 @@ enum class TaskErrorKind : uint8_t
 
 const char *taskErrorKindName(TaskErrorKind kind);
 
-/** One failed attempt of one task. */
+/** One failed task. */
 struct TaskError
 {
     size_t task = 0;
-    uint32_t attempt = 0; //!< 0 = first try, n = nth retry
     TaskErrorKind kind = TaskErrorKind::kException;
     std::string message;
 };
@@ -84,50 +83,32 @@ class TaskAbort : public std::runtime_error
 };
 
 /** Classify a captured task exception into the taxonomy. */
-TaskError classifyError(size_t task, uint32_t attempt,
-                        const std::exception_ptr &error);
+TaskError classifyError(size_t task, const std::exception_ptr &error);
 
 // --- Configuration ----------------------------------------------------
 
 /** Process-wide supervision policy (set from CLI flags). */
 struct Options
 {
-    /** Extra attempts per failed task (0 = fail on first error). */
-    uint32_t retries = 0;
-
-    /** Wall-clock watchdog per attempt, ms (0 = no watchdog). */
+    /** Wall-clock watchdog per task, ms (0 = no watchdog). */
     double task_timeout_ms = 0.0;
 
-    /** Simulated-event budget per attempt (0 = no budget). */
+    /** Simulated-event budget per task (0 = no budget). */
     uint64_t max_task_events = 0;
 
     /** Load the manifest and skip checkpointed tasks. */
     bool resume = false;
 
-    /** Run only this task index in every supervised sweep. */
+    /** Run only this task index of the outermost supervised sweep;
+     *  sweeps nested inside a guarded task run every index. */
     std::optional<uint64_t> only;
 
     /** Manifest file ("" disables checkpointing). */
     std::string manifest_path;
-
-    /** Backoff ladder: base * 2^(attempt-1), capped, 50-100% jitter. */
-    double backoff_base_ms = 50.0;
-    double backoff_cap_ms = 2000.0;
-
-    /** Seed of the jitter sequence (per task x attempt, replayable). */
-    uint64_t backoff_seed = 0x150b0ff5;
 };
 
 void setOptions(const Options &options);
 Options options();
-
-/**
- * Deterministic backoff delay before retry `attempt` (>= 1) of `task`:
- * capped exponential with jitter drawn from a seeded Rng keyed on
- * (seed, task, attempt), so the delay sequence is identical on every
- * replay regardless of thread interleaving.
- */
-double backoffMs(const Options &options, size_t task, uint32_t attempt);
 
 // --- Reports ----------------------------------------------------------
 
@@ -138,11 +119,9 @@ struct SweepReport
     size_t tasks = 0;
     size_t completed = 0; //!< ran to success in this process
     size_t salvaged = 0; //!< skipped; payload restored from manifest
-    size_t retried = 0; //!< completed, but needed >= 1 retry
     size_t skipped = 0; //!< not run because of --only
-    size_t failed = 0; //!< exhausted the retry budget
-    std::vector<TaskError> errors; //!< every error of every attempt
-    std::vector<size_t> failed_tasks; //!< final failures, index order
+    size_t failed = 0; //!< ran and failed
+    std::vector<TaskError> errors; //!< one per failed task, index order
 
     bool allOk() const { return failed == 0; }
 };
@@ -152,8 +131,8 @@ std::vector<SweepReport> reports();
 void clearReports();
 
 /**
- * Multi-line failure table (sweep x error kind x count x final-failed)
- * plus a totals line, for stderr. Always ends with the totals line; the
+ * Multi-line failure table (sweep x error kind x count) plus a totals
+ * line, for stderr. Always ends with the totals line; the
  * per-kind rows appear only when something actually went wrong.
  */
 std::string failureTable();
@@ -168,10 +147,10 @@ std::string failureTable();
 using Task = std::function<std::string()>;
 
 /**
- * Run `tasks` under guards with retries and (when a manifest path is
+ * Run each task once under guards and (when a manifest path is
  * configured) per-task checkpointing. `payloads[i]` receives task i's
  * payload — restored from the manifest when resuming — or "" when the
- * task finally failed or was skipped via --only. Never throws for task
+ * task failed or was skipped via --only. Never throws for task
  * failures: the returned report carries them.
  */
 SweepReport run(const std::string &sweep_name,
@@ -184,16 +163,16 @@ SweepReport runUncheckpointed(const std::string &sweep_name,
                               std::vector<std::string> &payloads,
                               uint32_t jobs = 0);
 
-/** Rethrow a report's final failures as a sweep::SweepError. */
+/** Rethrow a report's failures as a sweep::SweepError. */
 [[noreturn]] void throwFailures(const SweepReport &report);
 
 /**
  * Supervised typed fan-out for in-memory sweeps (e.g. the fairness
- * repeats loop): guards + retries + error classification, but no
- * checkpointing. R must be default-constructible and movable. Throws
- * SweepError when any task exhausts its retries — partial statistics
- * would silently skew folded results, so the whole map fails loudly
- * (and is itself retryable when nested under a supervised sweep).
+ * repeats loop): guards + error classification, but no checkpointing.
+ * R must be default-constructible and movable. Throws SweepError when
+ * any task fails — partial statistics would silently skew folded
+ * results, so the whole map fails loudly (and a nested map's failure
+ * fails the enclosing supervised task).
  */
 template <typename R, typename Fn>
 std::vector<R>

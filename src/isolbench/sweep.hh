@@ -46,8 +46,8 @@ struct TaskFailure
 /**
  * Thrown by run() when more than one task failed: carries *every*
  * failure (index + what() + original exception_ptr) in task-index
- * order, so a caller scheduling retries sees the full set rather than
- * just the first casualty. A single failure is rethrown as the original
+ * order, so a caller classifying failures sees the full set rather
+ * than just the first casualty. A single failure is rethrown as the original
  * exception to preserve its type for existing catch sites.
  */
 class SweepError : public std::runtime_error
@@ -87,7 +87,7 @@ void run(std::vector<std::function<void()>> tasks, uint32_t jobs = 0);
 /**
  * Like run(), but never throws for task failures: returns every failure
  * (index + message + exception) in task-index order instead. The sweep
- * supervisor's retry scheduler is built on this.
+ * supervisor runs its tasks through this and classifies each failure.
  */
 std::vector<TaskFailure>
 runCollect(std::vector<std::function<void()>> tasks, uint32_t jobs = 0);

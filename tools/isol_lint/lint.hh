@@ -135,14 +135,11 @@ struct LintResult
     std::vector<Finding> unused_suppressions;
 };
 
-/** Rule-family selection and execution knobs for lintFiles(). */
+/** Rule-family selection for lintFiles(). */
 struct LintOptions
 {
     /** Enabled families ('D', 'P', 'U'); default all. */
     std::set<char> families = {'D', 'P', 'U'};
-    /** Worker threads for the per-file passes; 0/1 = serial. The
-     *  finding order is path-sorted and identical for any value. */
-    unsigned jobs = 1;
 };
 
 /**

@@ -3,27 +3,25 @@
  * Rule engine for isol-lint: families D (determinism), P (sharding
  * safety), U (unit safety) over the token stream.
  *
- * The engine runs in four phases:
- *   1. per-file views (parallel): tokenize, extract suppressions,
- *      `// isol:` markers (parallel/domain regions, shared,
- *      merge-ordered), and quoted includes;
- *   2. per-file fact collection (parallel): pointer-keyed container
- *      declarations (D1), mutable namespace-scope/static declarations
- *      (D4/P1), and unit-carrying function signatures (U1);
- *   3. global model (serial): registries merged across the set, plus
- *      the include-graph transitive-reachability relation that P1/P2
- *      use to decide whether a foreign symbol is actually visible;
- *   4. per-file rule checks (parallel), merged in input order so the
- *      finding order is identical for any worker count.
+ * The engine runs in five phases:
+ *   1. per-file views: tokenize, extract suppressions, `// isol:`
+ *      markers (parallel/domain regions, shared, merge-ordered), and
+ *      quoted includes;
+ *   2. per-file fact collection: pointer-keyed container declarations
+ *      (D1), mutable namespace-scope/static declarations (D4/P1), and
+ *      unit-carrying function signatures (U1);
+ *   3. global model: registries merged across the set, plus the
+ *      include-graph transitive-reachability relation that P1/P2 use
+ *      to decide whether a foreign symbol is actually visible;
+ *   4. per-file rule checks;
+ *   5. merge in input order, then sort by (file, line, rule).
  */
 
 #include "lint.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <map>
-#include <thread>
 
 namespace isol_lint
 {
@@ -1533,32 +1531,6 @@ checkU1(FileView &view, const GlobalModel &model, FileResult &out)
     }
 }
 
-// --- Parallel driver ---------------------------------------------------
-
-template <typename Fn>
-void
-forEachIndex(size_t n, unsigned jobs, Fn fn)
-{
-    if (jobs <= 1 || n <= 1) {
-        for (size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-    std::atomic<size_t> next{0};
-    auto worker = [&] {
-        for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1))
-            fn(i);
-    };
-    size_t nthreads = std::min<size_t>(jobs, n);
-    std::vector<std::thread> threads;
-    threads.reserve(nthreads - 1);
-    for (size_t t = 1; t < nthreads; ++t)
-        threads.emplace_back(worker);
-    worker();
-    for (std::thread &t : threads)
-        t.join();
-}
-
 /** Resolve quoted includes against the file set (suffix matching). */
 std::vector<std::set<size_t>>
 computeReachability(const std::vector<FileView> &views)
@@ -1615,10 +1587,10 @@ lintFiles(const std::vector<FileInput> &files, const LintOptions &options)
     const bool fam_p = options.families.count('P') != 0;
     const bool fam_u = options.families.count('U') != 0;
 
-    // Phase 1+2 (parallel): per-file views and facts.
+    // Phase 1+2: per-file views and facts.
     std::vector<FileView> views(files.size());
     std::vector<FileFacts> facts(files.size());
-    forEachIndex(files.size(), options.jobs, [&](size_t i) {
+    for (size_t i = 0; i < files.size(); ++i) {
         views[i] = buildView(files[i]);
         if (fam_d) {
             collectPointerKeyedContainers(views[i], facts[i]);
@@ -1629,9 +1601,9 @@ lintFiles(const std::vector<FileInput> &files, const LintOptions &options)
             facts[i].mutable_decls = collectMutableDecls(views[i]);
         if (fam_u)
             collectSignatures(views[i], facts[i]);
-    });
+    }
 
-    // Phase 3 (serial): the global program model.
+    // Phase 3: the global program model.
     GlobalModel model;
     for (size_t i = 0; i < files.size(); ++i) {
         for (const ContainerDecl &d : facts[i].d1_decls)
@@ -1658,9 +1630,9 @@ lintFiles(const std::vector<FileInput> &files, const LintOptions &options)
     model.reach = fam_p ? computeReachability(views)
                         : std::vector<std::set<size_t>>(views.size());
 
-    // Phase 4 (parallel): per-file rule checks.
+    // Phase 4: per-file rule checks.
     std::vector<FileResult> outs(files.size());
-    forEachIndex(files.size(), options.jobs, [&](size_t i) {
+    for (size_t i = 0; i < files.size(); ++i) {
         FileView &view = views[i];
         FileResult &out = outs[i];
         if (fam_d) {
@@ -1680,9 +1652,9 @@ lintFiles(const std::vector<FileInput> &files, const LintOptions &options)
         }
         if (fam_u)
             checkU1(view, model, out);
-    });
+    }
 
-    // Phase 5 (serial): merge in input order, then sort.
+    // Phase 5: merge in input order, then sort.
     for (size_t i = 0; i < files.size(); ++i) {
         result.findings.insert(result.findings.end(),
                                outs[i].findings.begin(),

@@ -22,7 +22,6 @@
  *                         fault-injection profile (default off)
  *   --jobs <n>            sweep worker threads for parallel runners
  *                         (default: hardware concurrency)
- *   --retries <n>         extra attempts when the run fails (default 0)
  *   --task-timeout-ms <n> wall-clock watchdog for the run
  *   --task-max-events <n> simulated-event budget for the run
  *   --adversary <queue-flood|gc-storm|square-wave|flush-storm|slow-drain>
@@ -103,7 +102,7 @@ printUsage()
         "  --duration MS | --warmup MS | --precondition | --seed N\n"
         "  --faults off|media|thermal|all\n"
         "  --jobs N   (sweep worker threads; default hw concurrency)\n"
-        "  --retries N | --task-timeout-ms N | --task-max-events N\n"
+        "  --task-timeout-ms N | --task-max-events N\n"
         "  --adversary queue-flood|gc-storm|square-wave|flush-storm|\n"
         "              slow-drain    (misbehaving tenant in cgroup 'adv')\n"
         "  --check-invariants        (runtime invariant checker)\n"
@@ -310,11 +309,6 @@ main(int argc, char **argv)
             if (!parsed || *parsed == 0)
                 usageError("bad --jobs");
             sweep::setDefaultJobs(static_cast<uint32_t>(*parsed));
-        } else if (arg == "--retries") {
-            auto parsed = parseUint(next_value(i, "--retries"));
-            if (!parsed)
-                usageError("bad --retries");
-            sup.retries = static_cast<uint32_t>(*parsed);
         } else if (arg == "--task-timeout-ms") {
             auto parsed = parseUint(next_value(i, "--task-timeout-ms"));
             if (!parsed)
@@ -361,10 +355,9 @@ main(int argc, char **argv)
         std::optional<Scenario> scenario_slot;
         std::vector<Placed> placed;
         auto buildAndRun = [&] {
-            // A retry rebuilds the whole scenario: a Scenario runs once.
+            // Built here so a supervised run's guards cover setup too.
             scenario_slot.emplace(cfg);
             Scenario &scenario = *scenario_slot;
-            placed.clear();
             uint32_t device_rr = 0;
             for (const AppArg &app : apps) {
                 for (uint32_t c = 0; c < app.count; ++c) {
@@ -391,11 +384,10 @@ main(int argc, char **argv)
             scenario.run();
         };
 
-        if (sup.retries > 0 || sup.task_timeout_ms > 0.0 ||
-            sup.max_task_events > 0) {
-            // Supervised run: watchdog/event-budget guards plus retries,
-            // so a wedged or invalid configuration fails with a
-            // classified error instead of hanging the terminal.
+        if (sup.task_timeout_ms > 0.0 || sup.max_task_events > 0) {
+            // Supervised run: watchdog/event-budget guards, so a wedged
+            // or invalid configuration fails with a classified error
+            // instead of hanging the terminal.
             supervisor::setOptions(sup);
             supervisor::guardedMap<int>("cli", 1, [&](size_t) {
                 buildAndRun();
@@ -451,8 +443,8 @@ main(int argc, char **argv)
         std::fprintf(stderr, "isolbench: %s\n", e.what());
         return 1;
     } catch (const std::exception &e) {
-        // SweepError (supervised run out of retries), invariant
-        // violations from result validation, watchdog/budget aborts.
+        // SweepError (supervised run failed), invariant violations
+        // from result validation, watchdog/budget aborts.
         std::fprintf(stderr, "isolbench: %s\n", e.what());
         return 1;
     }
