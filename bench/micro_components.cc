@@ -560,9 +560,11 @@ BM_FtlRandomWrite(benchmark::State &state)
     ssd::Ftl ftl(cfg);
     Rng rng(1);
     ftl.preconditionSequentialFill(1.0);
+    // Whole batches, so the batched, prefetched overwrite path is timed.
+    constexpr int64_t kPagesPerIteration = 1024;
     for (auto _ : state)
-        ftl.preconditionRandomOverwrite(1, rng);
-    state.SetItemsProcessed(state.iterations());
+        ftl.preconditionRandomOverwrite(kPagesPerIteration, rng);
+    state.SetItemsProcessed(state.iterations() * kPagesPerIteration);
 }
 BENCHMARK(BM_FtlRandomWrite);
 

@@ -2,6 +2,7 @@
 #include "ssd/ftl.hh"
 
 #include <algorithm>
+#include <new>
 
 #include "common/logging.hh"
 
@@ -12,7 +13,22 @@ namespace
 {
 // Blocks held back per die so GC always has somewhere to move pages.
 constexpr uint32_t kGcReservedBlocks = 1;
+
+// Random overwrites drawn ahead during preconditioning, so the mapping
+// and reverse-map misses of a whole batch overlap instead of chaining.
+constexpr uint32_t kOverwriteBatch = 64;
 } // namespace
+
+Ftl::ZeroedArray
+Ftl::zeroedArray(uint64_t n)
+{
+    // calloc, not new[]: large blocks come straight from the OS as zero
+    // pages, so untouched entries cost no resident memory.
+    auto *p = static_cast<uint32_t *>(std::calloc(n, sizeof(uint32_t)));
+    if (p == nullptr)
+        throw std::bad_alloc();
+    return ZeroedArray(p);
+}
 
 Ftl::Ftl(const SsdConfig &cfg)
     : cfg_(cfg),
@@ -26,15 +42,23 @@ Ftl::Ftl(const SsdConfig &cfg)
 
     // Phase-change media (Optane-like) have no FTL: in-place updates, no
     // GC. Keep only the stripe-mapping fallback.
-    if (cfg_.medium != MediumType::kFlash) {
-        mapping_.clear();
+    if (cfg_.medium != MediumType::kFlash)
         return;
-    }
 
+    // The reverse map stores lpn + 1 in 32 bits.
+    if (num_lpns_ >= UINT32_MAX)
+        fatal("Ftl: logical capacity exceeds 32-bit reverse-map entries");
     if (blocks_per_die_ < kGcReservedBlocks + 4)
         fatal("Ftl: too few blocks per die; raise capacity or OP");
     if (blocks_per_die_ > 4096 || pages_per_block_ > 4096)
         fatal("Ftl: geometry exceeds 32-bit mapping entry limits");
+    // Forward entries store the packed location + 1; the very last slot
+    // of a 256 x 4096 x 4096 drive packs to UINT32_MAX and would wrap to
+    // the unmapped value.
+    if (num_dies_ == 256 && blocks_per_die_ == 4096 &&
+        pages_per_block_ == 4096) {
+        fatal("Ftl: last slot's mapping entry collides with unmapped");
+    }
 
     // Spare blocks per die = physical minus the space needed for the
     // logical capacity; GC thresholds must stay below the spare fraction
@@ -54,12 +78,11 @@ Ftl::Ftl(const SsdConfig &cfg)
         kGcReservedBlocks + 1,
         std::min(configured, spare_blocks_ * 3 / 5));
 
-    mapping_.assign(num_lpns_, kUnmappedEntry);
+    mapping_ = zeroedArray(num_lpns_);
+    slots_ = zeroedArray(slotIndex(num_dies_, 0, 0)); // one past last slot
     dies_.resize(num_dies_);
     for (auto &die : dies_) {
         die.blocks.resize(blocks_per_die_);
-        for (auto &blk : die.blocks)
-            blk.lpns.assign(pages_per_block_, kUnmapped);
         die.free_blocks.reserve(blocks_per_die_);
         // Highest indices first so block 0 is the first write point.
         for (uint32_t b = blocks_per_die_; b-- > 0;)
@@ -70,13 +93,22 @@ Ftl::Ftl(const SsdConfig &cfg)
 uint32_t
 Ftl::pack(uint32_t die, uint32_t block, uint32_t page) const
 {
-    return (die << 24) | (block << 12) | page;
+    return ((die << 24) | (block << 12) | page) + 1;
 }
 
 PhysLoc
 Ftl::unpack(uint32_t entry) const
 {
+    --entry;
     return PhysLoc{entry >> 24, (entry >> 12) & 0xFFF, entry & 0xFFF};
+}
+
+uint64_t
+Ftl::slotIndex(uint32_t die, uint32_t block, uint32_t page) const
+{
+    return (static_cast<uint64_t>(die) * blocks_per_die_ + block) *
+               pages_per_block_ +
+           page;
 }
 
 PhysLoc
@@ -84,9 +116,8 @@ Ftl::lookupRead(uint64_t lpn) const
 {
     if (lpn >= num_lpns_)
         lpn %= num_lpns_;
-    uint32_t entry =
-        mapping_.empty() ? kUnmappedEntry : mapping_[lpn];
-    if (entry == kUnmappedEntry) {
+    uint32_t entry = mapping_ ? mapping_[lpn] : kUnmapped;
+    if (entry == kUnmapped) {
         // Never-written data: deterministic stripe placement.
         return PhysLoc{static_cast<uint32_t>(lpn % num_dies_), 0, 0};
     }
@@ -108,17 +139,18 @@ void
 Ftl::invalidate(uint64_t lpn)
 {
     uint32_t entry = mapping_[lpn];
-    if (entry == kUnmappedEntry)
+    if (entry == kUnmapped)
         return;
     PhysLoc loc = unpack(entry);
-    Block &blk = dies_[loc.die].blocks[loc.block];
-    if (blk.lpns[loc.page] == lpn) {
-        blk.lpns[loc.page] = kUnmapped;
+    uint32_t &slot = slots_[slotIndex(loc.die, loc.block, loc.page)];
+    if (slot == lpn + 1) {
+        slot = kUnmapped;
+        Block &blk = dies_[loc.die].blocks[loc.block];
         if (blk.valid == 0)
             panic("Ftl::invalidate: valid count underflow");
         --blk.valid;
     }
-    mapping_[lpn] = kUnmappedEntry;
+    mapping_[lpn] = kUnmapped;
 }
 
 PhysLoc
@@ -147,9 +179,9 @@ Ftl::commitHostWrite(uint64_t lpn, uint32_t die)
     PhysLoc loc = allocSlot(die, /*gc=*/false);
     if (loc.block == kNoBlock)
         panic("Ftl::commitHostWrite: caller ignored hostWriteStalled()");
-    Block &blk = dies_[die].blocks[loc.block];
-    blk.lpns[loc.page] = lpn;
-    ++blk.valid;
+    slots_[slotIndex(die, loc.block, loc.page)] =
+        static_cast<uint32_t>(lpn + 1);
+    ++dies_[die].blocks[loc.block].valid;
     mapping_[lpn] = pack(die, loc.block, loc.page);
     ++host_pages_written_;
     return loc;
@@ -236,9 +268,10 @@ Ftl::gcCommitMove(uint32_t die)
         return;
     }
     Block &victim = d.blocks[d.victim];
+    uint32_t *victim_slots = &slots_[slotIndex(die, d.victim, 0)];
     // Find the next still-valid page under the scan cursor.
     while (d.victim_scan < pages_per_block_ &&
-           victim.lpns[d.victim_scan] == kUnmapped) {
+           victim_slots[d.victim_scan] == kUnmapped) {
         ++d.victim_scan;
     }
     if (d.victim_scan >= pages_per_block_ || victim.valid == 0) {
@@ -248,19 +281,18 @@ Ftl::gcCommitMove(uint32_t die)
         return;
     }
 
-    uint64_t lpn = victim.lpns[d.victim_scan];
+    uint32_t slot = victim_slots[d.victim_scan];
     PhysLoc loc = allocSlot(die, /*gc=*/true);
     if (loc.block == kNoBlock)
         panic("Ftl::gcCommitMove: GC reserve exhausted");
 
-    victim.lpns[d.victim_scan] = kUnmapped;
+    victim_slots[d.victim_scan] = kUnmapped;
     --victim.valid;
     ++d.victim_scan;
 
-    Block &dst = d.blocks[loc.block];
-    dst.lpns[loc.page] = lpn;
-    ++dst.valid;
-    mapping_[lpn] = pack(die, loc.block, loc.page);
+    slots_[slotIndex(die, loc.block, loc.page)] = slot;
+    ++d.blocks[loc.block].valid;
+    mapping_[slot - 1] = pack(die, loc.block, loc.page);
     ++gc_pages_moved_;
 }
 
@@ -283,7 +315,8 @@ Ftl::gcCommitErase(uint32_t die)
         return;
     }
     Block &victim = d.blocks[d.victim];
-    std::fill(victim.lpns.begin(), victim.lpns.end(), kUnmapped);
+    uint32_t *victim_slots = &slots_[slotIndex(die, d.victim, 0)];
+    std::fill(victim_slots, victim_slots + pages_per_block_, kUnmapped);
     victim.used = 0;
     victim.valid = 0;
     d.free_blocks.push_back(d.victim);
@@ -318,9 +351,18 @@ Ftl::instantGc(uint32_t die)
             }
             break; // nothing reclaimable
         }
-        const Block &victim = dies_[die].blocks[dies_[die].victim];
+        const uint32_t victim_block = dies_[die].victim;
+        const Block &victim = dies_[die].blocks[victim_block];
         if (victim.valid >= pages_per_block_)
             break; // zero net gain: moving costs what erasing frees
+        // Every move rewrites its page's forward entry: start those
+        // misses now so the moves below do not wait on them one by one.
+        const uint32_t *victim_slots =
+            &slots_[slotIndex(die, victim_block, 0)];
+        for (uint32_t p = 0; p < pages_per_block_; ++p) {
+            if (victim_slots[p] != kUnmapped)
+                __builtin_prefetch(&mapping_[victim_slots[p] - 1], 1);
+        }
         while (dies_[die].blocks[dies_[die].victim].valid > 0)
             gcCommitMove(die);
         gcCommitErase(die);
@@ -335,7 +377,7 @@ Ftl::growBadBlock(uint64_t lpn)
     if (lpn >= num_lpns_)
         lpn %= num_lpns_;
     uint32_t entry = mapping_[lpn];
-    if (entry == kUnmappedEntry)
+    if (entry == kUnmapped)
         return false;
     PhysLoc loc = unpack(entry);
     Die &d = dies_[loc.die];
@@ -362,11 +404,12 @@ Ftl::growBadBlock(uint64_t lpn)
     // the block drains to zero valid pages. The block is never selected
     // as a GC victim and never returns to the free list — the die's
     // spare capacity just shrank by one block.
+    const uint32_t *slots = &slots_[slotIndex(loc.die, loc.block, 0)];
     std::vector<uint64_t> survivors;
     survivors.reserve(blk.valid);
     for (uint32_t p = 0; p < blk.used; ++p) {
-        if (blk.lpns[p] != kUnmapped)
-            survivors.push_back(blk.lpns[p]);
+        if (slots[p] != kUnmapped)
+            survivors.push_back(slots[p] - 1);
     }
     for (uint64_t survivor : survivors)
         instantWrite(survivor);
@@ -390,7 +433,7 @@ Ftl::checkInvariants(std::string *error) const
     uint64_t mapped = 0;
     for (uint64_t lpn = 0; lpn < num_lpns_; ++lpn) {
         uint32_t entry = mapping_[lpn];
-        if (entry == kUnmappedEntry)
+        if (entry == kUnmapped)
             continue;
         ++mapped;
         PhysLoc loc = unpack(entry);
@@ -399,7 +442,7 @@ Ftl::checkInvariants(std::string *error) const
             return fail(strCat("lpn ", lpn, " maps out of range"));
         }
         const Block &blk = dies_[loc.die].blocks[loc.block];
-        if (blk.lpns[loc.page] != lpn)
+        if (slots_[slotIndex(loc.die, loc.block, loc.page)] != lpn + 1)
             return fail(strCat("lpn ", lpn, " slot mismatch"));
         if (loc.page >= blk.used)
             return fail(strCat("lpn ", lpn, " points at unwritten slot"));
@@ -412,11 +455,12 @@ Ftl::checkInvariants(std::string *error) const
         const Die &d = dies_[die];
         for (uint32_t b = 0; b < blocks_per_die_; ++b) {
             const Block &blk = d.blocks[b];
+            const uint32_t *slots = &slots_[slotIndex(die, b, 0)];
             uint32_t live = 0;
             for (uint32_t p = 0; p < blk.used; ++p)
-                live += blk.lpns[p] != kUnmapped;
+                live += slots[p] != kUnmapped;
             for (uint32_t p = blk.used; p < pages_per_block_; ++p) {
-                if (blk.lpns[p] != kUnmapped)
+                if (slots[p] != kUnmapped)
                     return fail(strCat("die ", die, " block ", b,
                                        " live page beyond used"));
             }
@@ -460,8 +504,29 @@ Ftl::preconditionRandomOverwrite(uint64_t count, Rng &rng)
 {
     if (cfg_.medium != MediumType::kFlash)
         return;
-    for (uint64_t i = 0; i < count; ++i)
-        instantWrite(rng.below(num_lpns_));
+    // Same draws in the same order as one instantWrite per draw; each
+    // batch first prefetches its forward entries, then the reverse-map
+    // slots they point at, then writes.
+    uint64_t lpns[kOverwriteBatch];
+    for (uint64_t done = 0; done < count;) {
+        auto n = static_cast<uint32_t>(
+            std::min<uint64_t>(kOverwriteBatch, count - done));
+        for (uint32_t i = 0; i < n; ++i) {
+            lpns[i] = rng.below(num_lpns_);
+            __builtin_prefetch(&mapping_[lpns[i]], 1);
+        }
+        for (uint32_t i = 0; i < n; ++i) {
+            uint32_t entry = mapping_[lpns[i]];
+            if (entry != kUnmapped) {
+                PhysLoc loc = unpack(entry);
+                __builtin_prefetch(
+                    &slots_[slotIndex(loc.die, loc.block, loc.page)], 1);
+            }
+        }
+        for (uint32_t i = 0; i < n; ++i)
+            instantWrite(lpns[i]);
+        done += n;
+    }
 }
 
 } // namespace isol::ssd

@@ -7,6 +7,13 @@
  * per die, as in real controllers), victim selection, and the
  * preconditioning passes the paper performs before write experiments.
  *
+ * Per-page state lives in two flat uint32_t arrays: the forward map
+ * (lpn -> packed location) and one reverse map for the whole drive
+ * (slot -> lpn, indexed (die * blocks_per_die + block) * pages_per_block
+ * + page). Both come zero-filled and untouched from calloc, and 0 means
+ * "unmapped" / "dead", so entries store packed+1 and lpn+1: a fresh drive
+ * pays resident memory only for the pages it writes.
+ *
  * The FTL is purely bookkeeping — it consumes no simulated time. The
  * SsdDevice drives it and charges die/channel time for each operation.
  */
@@ -16,6 +23,8 @@
 #define ISOL_SSD_FTL_HH
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -178,11 +187,11 @@ class Ftl
 
   private:
     static constexpr uint32_t kNoBlock = UINT32_MAX;
-    static constexpr uint64_t kUnmapped = UINT64_MAX;
+    /** Value of an unmapped forward entry and of a dead reverse slot. */
+    static constexpr uint32_t kUnmapped = 0;
 
     struct Block
     {
-        std::vector<uint64_t> lpns; //!< lpn per slot (kUnmapped when dead)
         uint16_t used = 0; //!< slots written
         uint16_t valid = 0; //!< slots still mapped
         bool bad = false; //!< grown bad block, out of circulation
@@ -198,9 +207,23 @@ class Ftl
         uint32_t victim_scan = 0; //!< scan cursor into the victim
     };
 
-    /** Pack/unpack mapping entries (die, block, page) into 32 bits. */
+    struct FreeDeleter
+    {
+        void operator()(uint32_t *p) const { std::free(p); }
+    };
+    /** calloc'd array: zero pages stay unbacked until first written. */
+    using ZeroedArray = std::unique_ptr<uint32_t[], FreeDeleter>;
+    static ZeroedArray zeroedArray(uint64_t n);
+
+    /**
+     * Pack/unpack forward entries: (die, block, page) in 32 bits, plus 1
+     * so that 0 stays free for kUnmapped.
+     */
     uint32_t pack(uint32_t die, uint32_t block, uint32_t page) const;
     PhysLoc unpack(uint32_t entry) const;
+
+    /** Index of a page slot in the flat reverse map. */
+    uint64_t slotIndex(uint32_t die, uint32_t block, uint32_t page) const;
 
     /** Invalidate the mapping entry of `lpn` if present. */
     void invalidate(uint64_t lpn);
@@ -229,8 +252,8 @@ class Ftl
     uint32_t spare_blocks_ = 0;
     uint32_t gc_start_free_ = 2;
 
-    std::vector<uint32_t> mapping_; //!< lpn -> packed loc (kUnmappedEntry)
-    static constexpr uint32_t kUnmappedEntry = UINT32_MAX;
+    ZeroedArray mapping_; //!< lpn -> pack(); null for non-flash media
+    ZeroedArray slots_; //!< slotIndex() -> lpn + 1 (kUnmapped when dead)
     std::vector<Die> dies_;
 
     uint32_t write_rr_ = 0;

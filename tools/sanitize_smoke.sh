@@ -1,8 +1,10 @@
 #!/bin/sh
 # Sanitizer smoke for the simulator:
 #   1. ASan+UBSan build: quickstart example + fault-injected CLI
-#      scenario (the `smoke` target), an isol_lint pass over the tree
-#      (so the lint tool itself runs sanitized), a short isol_fuzz
+#      scenario (the `smoke` target), the FTL unit tests (test_ssd,
+#      test_properties, test_fault: the FTL indexes flat raw arrays, so
+#      ASan stands in for per-block bounds), an isol_lint pass over the
+#      tree (so the lint tool itself runs sanitized), a short isol_fuzz
 #      campaign with runtime invariants on, and the D5 degraded-tenant
 #      study with ISOL_CHECK_INVARIANTS=1 — faults, adversaries and the
 #      invariant hooks all under the sanitizer.
@@ -22,6 +24,9 @@ echo "== ASan/UBSan =="
 cmake -S "$SRC_DIR" -B "$ASAN_DIR" -DISOL_SANITIZE=address
 cmake --build "$ASAN_DIR" -j
 cmake --build "$ASAN_DIR" --target smoke
+for t in test_ssd test_properties test_fault; do
+    "$ASAN_DIR/tests/$t"
+done
 if ! "$ASAN_DIR/tools/isol_lint/isol_lint" --root "$SRC_DIR" \
         --rules D,P,U --report-unused-suppressions; then
     echo "sanitize_smoke: isol_lint found violations (or stale" \
