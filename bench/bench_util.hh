@@ -25,8 +25,22 @@
 #include "sim/invariants.hh"
 #include "workload/adversary.hh"
 
+#ifndef ISOL_BENCH_OUT_DIR
+#error "bench/CMakeLists.txt defines ISOL_BENCH_OUT_DIR (the build directory)"
+#endif
+
 namespace isol::bench
 {
+
+/**
+ * Path of a JSON report in the build directory. Reports never go to the
+ * working directory, where a checkout keeps the committed baselines.
+ */
+inline std::string
+outPath(const char *file)
+{
+    return std::string(ISOL_BENCH_OUT_DIR) + "/" + file;
+}
 
 /**
  * Adversarial tenant selected with `--adversary` (kNone when absent).
@@ -217,8 +231,9 @@ emitSweepReport()
     std::fprintf(stderr, "%s\n",
                  isolbench::sweep::profileSummaryLine().c_str());
     std::fputs(isolbench::supervisor::failureTable().c_str(), stderr);
-    if (!isolbench::sweep::writeProfileJson("BENCH_sweep.json"))
-        std::fprintf(stderr, "warning: could not write BENCH_sweep.json\n");
+    std::string path = outPath("BENCH_sweep.json");
+    if (!isolbench::sweep::writeProfileJson(path))
+        std::fprintf(stderr, "warning: could not write %s\n", path.c_str());
 }
 
 /** True when quick mode is requested via ISOL_BENCH_QUICK. */

@@ -781,6 +781,6 @@ main(int argc, char **argv)
     bench::parseArgs(argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    writeMicroJson("BENCH_micro.json");
+    writeMicroJson(bench::outPath("BENCH_micro.json").c_str());
     return 0;
 }

@@ -9,31 +9,27 @@ namespace isol::blk
 {
 
 Bfq::Bfq(sim::Simulator &sim, cgroup::CgroupTree &tree, BfqParams params)
-    : sim_(sim), tree_(tree), params_(params)
+    : sim_(sim), tree_(tree), params_(params),
+      removal_(tree_.subscribeRemoval(
+          [this](cgroup::Cgroup &cg) { onCgroupRemoved(cg); }))
 {
-    removal_token_ = tree_.addRemovalListener(
-        [this](cgroup::Cgroup &cg) { onCgroupRemoved(cg); });
 }
 
 Bfq::~Bfq()
 {
     if (idle_event_ != sim::kInvalidEventId)
         sim_.cancel(idle_event_);
-    tree_.removeRemovalListener(removal_token_);
 }
 
 Bfq::Queue &
 Bfq::queueFor(const cgroup::Cgroup *cg)
 {
-    Queue *existing = queues_.find(cg);
-    if (existing != nullptr)
-        return *existing;
-    Queue &q = queues_.stateFor(cg);
-    // New/empty queues start at the current virtual time so they
-    // cannot claim service for their idle past.
-    q.vfinish = vtime_;
-    q.seq = next_seq_++;
-    return q;
+    // New queues start at the current virtual time so they cannot
+    // claim service for their idle past.
+    return queues_.stateFor(cg, [this](Queue &q) {
+        q.vfinish = vtime_;
+        q.seq = next_seq_++;
+    });
 }
 
 void

@@ -103,8 +103,8 @@ class Bfq : public Elevator
     double vtime_ = 0.0; //!< global virtual time
     size_t queued_ = 0;
     uint64_t next_seq_ = 0;
-    size_t removal_token_ = 0;
     uint64_t bookkeeping_ops_ = 0;
+    cgroup::RemovalSubscription removal_;
 };
 
 } // namespace isol::blk

@@ -8,6 +8,17 @@
 namespace isol::blk
 {
 
+namespace
+{
+
+/** Submit-side per-I/O CPU overhead of each elevator, charged to the
+ *  issuing task (Kyber: per-cpu token ops, no big lock). */
+constexpr SimTime kMqDeadlineCpu = nsToNs(4600);
+constexpr SimTime kBfqCpu = nsToNs(12000);
+constexpr SimTime kKyberCpu = nsToNs(600);
+
+} // namespace
+
 BlockDevice::BlockDevice(sim::Simulator &sim, cgroup::CgroupTree &tree,
                          ssd::SsdDevice &ssd, BlockDeviceConfig cfg)
     : sim_(sim), tree_(tree), ssd_(ssd), cfg_(cfg), inv_(cfg.invariants)
@@ -15,112 +26,87 @@ BlockDevice::BlockDevice(sim::Simulator &sim, cgroup::CgroupTree &tree,
     switch (cfg_.elevator) {
       case ElevatorType::kNone:
         elevator_ = std::make_unique<NoneElevator>();
-        dispatch_cost_ = 0;
         break;
       case ElevatorType::kMqDeadline:
         elevator_ = std::make_unique<MqDeadline>(sim_, cfg_.mq_params);
         dispatch_cost_ = cfg_.mq_lock_hold;
+        elevator_cpu_ = kMqDeadlineCpu;
         break;
       case ElevatorType::kBfq:
         elevator_ = std::make_unique<Bfq>(sim_, tree_, cfg_.bfq_params);
         dispatch_cost_ = cfg_.bfq_lock_hold;
+        elevator_cpu_ = kBfqCpu;
         break;
       case ElevatorType::kKyber:
         elevator_ = std::make_unique<Kyber>(sim_, cfg_.kyber_params);
-        dispatch_cost_ = 0; // per-cpu token pools, no dispatch lock
+        elevator_cpu_ = kKyberCpu; // per-cpu token pools, no dispatch lock
         break;
     }
     elevator_->setKick([this] { pumpDispatch(); });
     if (dispatch_cost_ > 0)
         dispatch_lock_ = std::make_unique<ssd::FifoServer>(sim_);
 
-    if (cfg_.enable_io_latency) {
-        cfg_.iolat_params.max_nr_requests =
-            cfg_.iolatency_max_nr_requests;
-        io_latency_ = std::make_unique<IoLatencyGate>(
-            sim_, cfg_.dev_id, tree_,
-            [this](Request *req) { enterTags(req); }, cfg_.iolat_params);
-        io_latency_->setInvariants(inv_);
+    // rq-qos stages in kernel order; each passes into the next one and
+    // the last into the tags.
+    auto next = [this] {
+        return [this, i = stages_.size() + 1](Request *req) {
+            enterStage(i, req);
+        };
+    };
+    if (cfg_.enable_io_max) {
+        auto gate = std::make_unique<IoMaxGate>(sim_, cfg_.dev_id, tree_,
+                                                next());
+        gate->setDebugCorruptBucket(cfg_.debug_corrupt_iomax_bucket);
+        stages_.push_back(std::move(gate));
     }
     if (cfg_.enable_io_cost) {
-        io_cost_ = std::make_unique<IoCostGate>(
-            sim_, cfg_.dev_id, tree_,
-            [this](Request *req) { afterIoCost(req); },
-            cfg_.iocost_params);
-        io_cost_->setInvariants(inv_);
+        stages_.push_back(std::make_unique<IoCostGate>(
+            sim_, cfg_.dev_id, tree_, next(), cfg_.iocost_params));
     }
-    if (cfg_.enable_io_max) {
-        io_max_ = std::make_unique<IoMaxGate>(
-            sim_, cfg_.dev_id, tree_,
-            [this](Request *req) { afterIoMax(req); });
-        io_max_->setInvariants(inv_);
-        io_max_->setDebugCorruptBucket(cfg_.debug_corrupt_iomax_bucket);
+    if (cfg_.enable_io_latency) {
+        stages_.push_back(std::make_unique<IoLatencyGate>(
+            sim_, cfg_.dev_id, tree_, next(), cfg_.iolat_params));
     }
+    for (const std::unique_ptr<QosStage> &st : stages_)
+        st->setInvariants(inv_);
 }
 
 uint64_t
 BlockDevice::gateBookkeepingOps() const
 {
     uint64_t ops = elevator_->bookkeepingOps();
-    if (io_max_)
-        ops += io_max_->bookkeepingOps();
-    if (io_latency_)
-        ops += io_latency_->bookkeepingOps();
-    if (io_cost_)
-        ops += io_cost_->bookkeepingOps();
+    for (const std::unique_ptr<QosStage> &st : stages_)
+        ops += st->bookkeepingOps();
     return ops;
 }
 
 void
 BlockDevice::finalInvariantChecks()
 {
-    if (inv_ == nullptr)
-        return;
-    if (io_max_)
-        io_max_->verifyHierarchicalConsumption();
-    if (io_cost_)
-        io_cost_->checkHierarchicalCharges();
+    for (const std::unique_ptr<QosStage> &st : stages_)
+        st->finalChecks();
 }
 
 void
 BlockDevice::start()
 {
-    if (io_latency_)
-        io_latency_->start();
-    if (io_cost_)
-        io_cost_->start();
+    for (const std::unique_ptr<QosStage> &st : stages_)
+        st->start();
 }
 
 void
 BlockDevice::setTimerCpuCharge(IoCostGate::CpuChargeFn fn)
 {
-    if (io_cost_)
-        io_cost_->setCpuCharge(std::move(fn));
+    if (IoCostGate *gate = ioCostGate())
+        gate->setCpuCharge(std::move(fn));
 }
 
 SimTime
 BlockDevice::perIoCpuExtra() const
 {
-    SimTime extra = 0;
-    switch (cfg_.elevator) {
-      case ElevatorType::kNone:
-        break;
-      case ElevatorType::kMqDeadline:
-        extra += cfg_.mq_cpu;
-        break;
-      case ElevatorType::kBfq:
-        extra += cfg_.bfq_cpu;
-        break;
-      case ElevatorType::kKyber:
-        extra += cfg_.kyber_cpu;
-        break;
-    }
-    if (cfg_.enable_io_max)
-        extra += cfg_.iomax_cpu;
-    if (cfg_.enable_io_latency)
-        extra += cfg_.iolat_cpu;
-    if (cfg_.enable_io_cost)
-        extra += cfg_.iocost_cpu;
+    SimTime extra = elevator_cpu_;
+    for (const std::unique_ptr<QosStage> &st : stages_)
+        extra += st->cpuCost();
     return extra;
 }
 
@@ -153,48 +139,24 @@ BlockDevice::submit(Request *req)
     req->failed = false;
     req->timeout_event = sim::kInvalidEventId;
     ++submitted_;
-    if (inv_ != nullptr) {
-        inv_->onSubmit(req->cg, req->cg != nullptr
-                                    ? req->cg->name()
-                                    : std::string("<root>"));
-    }
+    if (inv_ != nullptr)
+        inv_->onSubmit(req->cg, groupLabel(req->cg));
     // Insert-side scheduler lock acquisition.
     if (dispatch_lock_) {
         dispatch_lock_->enqueue(dispatch_cost_,
-                                [this, req] { afterLock(req); });
+                                [this, req] { enterStage(0, req); });
         return;
     }
-    afterLock(req);
+    enterStage(0, req);
 }
 
 void
-BlockDevice::afterLock(Request *req)
+BlockDevice::enterStage(size_t i, Request *req)
 {
-    if (io_max_) {
-        io_max_->submit(req);
-        return;
-    }
-    afterIoMax(req);
-}
-
-void
-BlockDevice::afterIoMax(Request *req)
-{
-    if (io_cost_) {
-        io_cost_->submit(req);
-        return;
-    }
-    afterIoCost(req);
-}
-
-void
-BlockDevice::afterIoCost(Request *req)
-{
-    if (io_latency_) {
-        io_latency_->submit(req);
-        return;
-    }
-    enterTags(req);
+    if (i < stages_.size())
+        stages_[i]->submit(req);
+    else
+        enterTags(req);
 }
 
 void
@@ -317,8 +279,8 @@ BlockDevice::onCommandTimeout(Request *req, uint64_t attempt)
     ++fault_stats_.requeues;
     if (req->cg != nullptr)
         ++req->cg->mutableIoFaultStat().requeues;
-    if (io_cost_)
-        io_cost_->chargeRetry(req);
+    for (const std::unique_ptr<QosStage> &st : stages_)
+        st->onRequeue(req);
     sim_.after(backoff, [this, req] { issueToDevice(req); });
 }
 
@@ -332,10 +294,8 @@ BlockDevice::finishRequest(Request *req)
         else
             inv_->onComplete(req->cg);
     }
-    if (io_cost_)
-        io_cost_->onDeviceComplete(req);
-    if (io_latency_)
-        io_latency_->onComplete(req);
+    for (const std::unique_ptr<QosStage> &st : stages_)
+        st->onComplete(req);
     elevator_->onComplete(req);
 
     // Release the tag; admit a waiter if any.

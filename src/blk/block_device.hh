@@ -3,14 +3,18 @@
  * BlockDevice: the per-device block-layer pipeline tying the cgroup I/O
  * control knobs to the SSD model.
  *
- *   submit -> [io.max] -> [io.cost] -> [io.latency] -> tags(nr_requests)
- *          -> elevator (none / mq-deadline / bfq) -> dispatch lock -> SSD
+ *   submit -> rq-qos stages [io.max] -> [io.cost] -> [io.latency]
+ *          -> tags(nr_requests) -> elevator (none / mq-deadline / bfq /
+ *             kyber) -> dispatch lock -> SSD
  *
  * Each knob is optional; the paper evaluates them one at a time. The
- * elevator dispatch path of MQ-DL and BFQ passes through a serialized
- * per-device critical section (the single dispatch lock), which is what
- * caps their NVMe bandwidth in the paper's Fig. 4 (≈1.8 / ≈0.7 GiB/s on
- * one SSD).
+ * enabled knobs form one ordered QosStage list (blk/qos_stage.hh), like
+ * the kernel's rq_qos list: a request passes through the stages in
+ * order, and requeue / completion hooks visit them in the same order
+ * before the elevator's. The elevator dispatch path of MQ-DL and BFQ
+ * passes through a serialized per-device critical section (the single
+ * dispatch lock), which is what caps their NVMe bandwidth in the
+ * paper's Fig. 4 (≈1.8 / ≈0.7 GiB/s on one SSD).
  */
 // isol: domain(blk)
 
@@ -18,6 +22,7 @@
 #define ISOL_BLK_BLOCK_DEVICE_HH
 
 #include <memory>
+#include <vector>
 
 #include "blk/bfq.hh"
 #include "blk/elevator.hh"
@@ -26,6 +31,7 @@
 #include "blk/qos_cost.hh"
 #include "blk/qos_latency.hh"
 #include "blk/qos_max.hh"
+#include "blk/qos_stage.hh"
 #include "blk/request.hh"
 #include "common/ring.hh"
 #include "fault/fault.hh"
@@ -52,11 +58,10 @@ struct BlockDeviceConfig
      * queue per CPU (each with its own tag space), so the effective tag
      * pool is large and rarely binds — if it did, its FIFO wait queue
      * would override the elevator's policy. io.latency's queue-depth
-     * mechanism uses the classic per-device nr_requests (1024)
-     * independently.
+     * mechanism uses the classic per-device nr_requests
+     * (`iolat_params.max_nr_requests`, 1024) independently.
      */
     uint32_t nr_requests = 16384;
-    uint32_t iolatency_max_nr_requests = 1024;
 
     MqDeadlineParams mq_params;
     BfqParams bfq_params;
@@ -74,14 +79,6 @@ struct BlockDeviceConfig
      */
     SimTime mq_lock_hold = nsToNs(1050);
     SimTime bfq_lock_hold = nsToNs(2750);
-
-    /** Submit-side per-I/O CPU overhead charged to the issuing task. */
-    SimTime mq_cpu = nsToNs(4600);
-    SimTime bfq_cpu = nsToNs(12000);
-    SimTime kyber_cpu = nsToNs(600); //!< per-cpu token ops, no big lock
-    SimTime iomax_cpu = nsToNs(450);
-    SimTime iolat_cpu = nsToNs(200);
-    SimTime iocost_cpu = nsToNs(300);
 
     /** NVMe command-timeout handling (disabled by default). */
     fault::TimeoutFaultConfig nvme_timeout;
@@ -125,8 +122,8 @@ class BlockDevice
     void submit(Request *req);
 
     /**
-     * Extra submit-side CPU one I/O costs under the enabled knobs
-     * (elevator insert/lock work + qos accounting).
+     * Extra submit-side CPU one I/O costs under the enabled knobs: the
+     * elevator's insert/lock work plus each rq-qos stage's accounting.
      */
     SimTime perIoCpuExtra() const;
 
@@ -161,9 +158,9 @@ class BlockDevice
     /** Command-timeout / retry counters (all zero when disabled). */
     const fault::HostFaultStats &faultStats() const { return fault_stats_; }
     size_t tagWaiting() const { return tag_wait_.size(); }
-    IoMaxGate *ioMaxGate() { return io_max_.get(); }
-    IoLatencyGate *ioLatencyGate() { return io_latency_.get(); }
-    IoCostGate *ioCostGate() { return io_cost_.get(); }
+    IoMaxGate *ioMaxGate() { return stage<IoMaxGate>(); }
+    IoLatencyGate *ioLatencyGate() { return stage<IoLatencyGate>(); }
+    IoCostGate *ioCostGate() { return stage<IoCostGate>(); }
     Elevator &elevator() { return *elevator_; }
 
     /**
@@ -176,15 +173,26 @@ class BlockDevice
     uint64_t gateBookkeepingOps() const;
 
     /**
-     * End-of-run hierarchical conservation checks (no-op when invariant
-     * checking is off or the relevant gate is disabled).
+     * End-of-run hierarchical conservation checks of every stage (no-op
+     * when invariant checking is off).
      */
     void finalInvariantChecks();
 
   private:
-    void afterLock(Request *req);
-    void afterIoMax(Request *req);
-    void afterIoCost(Request *req);
+    /** The enabled stage of type `Gate`, or nullptr. */
+    template <typename Gate>
+    Gate *
+    stage()
+    {
+        for (const std::unique_ptr<QosStage> &st : stages_) {
+            if (auto *gate = dynamic_cast<Gate *>(st.get()))
+                return gate;
+        }
+        return nullptr;
+    }
+
+    /** Hand `req` to stage `i`, or into the tags past the last one. */
+    void enterStage(size_t i, Request *req);
     void enterTags(Request *req);
     void enterElevator(Request *req);
     void pumpDispatch();
@@ -199,12 +207,13 @@ class BlockDevice
     BlockDeviceConfig cfg_;
 
     std::unique_ptr<Elevator> elevator_;
-    std::unique_ptr<IoMaxGate> io_max_;
-    std::unique_ptr<IoLatencyGate> io_latency_;
-    std::unique_ptr<IoCostGate> io_cost_;
+    /** Enabled rq-qos stages in kernel order: io.max, io.cost,
+     *  io.latency. */
+    std::vector<std::unique_ptr<QosStage>> stages_;
     std::unique_ptr<ssd::FifoServer> dispatch_lock_;
 
     SimTime dispatch_cost_ = 0;
+    SimTime elevator_cpu_ = 0; //!< submit-side CPU per I/O
     common::RingDeque<Request *> tag_wait_;
     uint32_t inflight_ = 0; //!< holding a tag (elevator + device)
     uint32_t dispatch_pending_ = 0;

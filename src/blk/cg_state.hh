@@ -43,6 +43,8 @@
 #include <vector>
 
 #include "cgroup/cgroup.hh"
+#include "common/logging.hh"
+#include "sim/invariants.hh"
 
 namespace isol::blk
 {
@@ -52,16 +54,59 @@ class CgStateArena
 {
   public:
     /** Look up the state for `cg`, default-constructing it on first
-     *  sight (with `state.cg` set). May move existing records. */
-    State &stateFor(const cgroup::Cgroup *cg)
+     *  sight (with `state.cg` set, then `init(state)`). May move
+     *  existing records. */
+    template <typename Init = void (*)(State &)>
+    State &stateFor(const cgroup::Cgroup *cg, Init init = [](State &) {})
     {
         int32_t &slot = slotRef(cg);
         if (slot < 0) {
             slot = static_cast<int32_t>(states_.size());
             states_.emplace_back();
             states_.back().cg = cg;
+            init(states_.back());
         }
         return states_[static_cast<size_t>(slot)];
+    }
+
+    /** stateFor(cg) after materializing every ancestor below the root
+     *  too, so chain walks may assume the whole chain is present. */
+    template <typename Init = void (*)(State &)>
+    State &ensureChain(const cgroup::Cgroup *cg,
+                       Init init = [](State &) {})
+    {
+        for (const cgroup::Cgroup *node = cg;
+             node != nullptr && !node->isRoot(); node = node->parent())
+            stateFor(node, init);
+        return stateFor(cg, init);
+    }
+
+    /**
+     * Hierarchical conservation: for every interior node, the sum of
+     * its children's subtree totals (`subtree(state)`) must not exceed
+     * its own. Charges walk whole ancestor chains, so equality holds
+     * unless a charge skipped a level. Sums go into a dense-id scratch
+     * array kept across calls, so periodic checks do not allocate.
+     */
+    template <typename Subtree>
+    void checkHierarchy(sim::InvariantChecker &inv, const char *what,
+                        size_t id_capacity, Subtree subtree)
+    {
+        child_sum_scratch_.assign(id_capacity, 0.0);
+        for (const State &st : states_) {
+            if (st.cg == nullptr || st.cg->isRoot())
+                continue;
+            const cgroup::Cgroup *parent = st.cg->parent();
+            if (!parent->isRoot())
+                child_sum_scratch_[parent->id()] += subtree(st);
+        }
+        for (const State &st : states_) {
+            if (st.cg == nullptr || st.cg->children().empty())
+                continue;
+            inv.checkHierarchy(what, strCat("cgroup '", st.cg->name(), "'"),
+                               child_sum_scratch_[st.cg->id()],
+                               subtree(st));
+        }
     }
 
     /** nullptr when the gate holds no state for `cg`. */
@@ -148,6 +193,7 @@ class CgStateArena
     std::vector<int32_t> slot_of_;
     int32_t null_slot_ = -1;
     std::vector<State> states_;
+    std::vector<double> child_sum_scratch_;
 };
 
 } // namespace isol::blk

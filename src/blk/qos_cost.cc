@@ -4,7 +4,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "common/strings.hh"
 #include "sim/invariants.hh"
 
 namespace isol::blk
@@ -13,45 +12,18 @@ namespace isol::blk
 IoCostGate::IoCostGate(sim::Simulator &sim, cgroup::DeviceId dev,
                        cgroup::CgroupTree &tree, PassFn pass,
                        IoCostParams params)
-    : sim_(sim), dev_(dev), tree_(tree), pass_(std::move(pass)),
-      params_(params)
+    : QosStage(sim, dev, tree, std::move(pass), kCpuCost), params_(params)
 {
     cgroup::IoCostQos qos = tree_.costQos(dev_);
     vrate_ = qos.vrate_max / 100.0;
     timer_ = std::make_unique<sim::PeriodicTimer>(
         sim_, params_.period, [this] { periodTick(); });
-    removal_token_ = tree_.addRemovalListener(
-        [this](cgroup::Cgroup &cg) { onCgroupRemoved(cg); });
-}
-
-IoCostGate::~IoCostGate()
-{
-    tree_.removeRemovalListener(removal_token_);
 }
 
 void
 IoCostGate::start()
 {
     timer_->start();
-}
-
-IoCostGate::CgState &
-IoCostGate::stateFor(const cgroup::Cgroup *cg)
-{
-    CgState *existing = states_.find(cg);
-    if (existing != nullptr)
-        return *existing;
-    CgState &st = states_.stateFor(cg);
-    st.vtime = vnow_;
-    return st;
-}
-
-void
-IoCostGate::ensureChainStates(const cgroup::Cgroup *cg)
-{
-    for (const cgroup::Cgroup *node = cg;
-         node != nullptr && !node->isRoot(); node = node->parent())
-        stateFor(node);
 }
 
 void
@@ -244,15 +216,23 @@ IoCostGate::donateShares()
 }
 
 void
-IoCostGate::chargeSubtree(const cgroup::Cgroup *cg, double abs)
+IoCostGate::charge(CgState &st, double abs)
 {
-    if (cg == nullptr)
-        return;
+    st.vtime += abs / std::max(st.share, 1e-9);
+    st.period_abs += abs; // usage accounting for donation
     // O(depth) walk over the cached ancestor chain: two array loads per
     // level (id -> slot -> state), no pointer chasing through the tree.
-    for (cgroup::CgroupId id : cg->chain()) {
-        states_.findId(id)->subtree_abs += abs;
-        ++bookkeeping_ops_;
+    if (st.cg != nullptr) {
+        for (cgroup::CgroupId id : st.cg->chain()) {
+            states_.findId(id)->subtree_abs += abs;
+            ++bookkeeping_ops_;
+        }
+    }
+    if (inv_ != nullptr) {
+        inv_->checkMonotonicAt(st.inv_vtime_last,
+                               "io.cost vtime monotonicity",
+                               strCat("cgroup '", groupLabel(st.cg), "'"),
+                               st.vtime);
     }
 }
 
@@ -265,54 +245,33 @@ IoCostGate::tryCharge(CgState &st, OpType op, bool sequential,
     if (st.vtime < vnow_ - params_.credit_cap)
         st.vtime = vnow_ - params_.credit_cap;
     double abs = static_cast<double>(absCost(op, sequential, size));
-    double cost = abs / std::max(st.share, 1e-9);
-    if (st.vtime + cost <= vnow_ + static_cast<double>(params_.margin)) {
-        st.vtime += cost;
-        st.period_abs += abs; // usage accounting for donation
-        chargeSubtree(st.cg, abs);
-        if (inv_ != nullptr) {
-            inv_->checkMonotonicAt(
-                st.inv_vtime_last, "io.cost vtime monotonicity",
-                strCat("cgroup '",
-                       st.cg != nullptr ? st.cg->name() : "<root>", "'"),
-                st.vtime);
-        }
-        return true;
-    }
-    return false;
+    if (st.vtime + abs / std::max(st.share, 1e-9) >
+        vnow_ + static_cast<double>(params_.margin))
+        return false;
+    charge(st, abs);
+    return true;
 }
 
 void
-IoCostGate::chargeRetry(Request *req)
+IoCostGate::onRequeue(Request *req)
 {
     if (req->cg == nullptr)
         return;
-    ensureChainStates(req->cg);
-    CgState &st = *states_.find(req->cg);
+    CgState &st = states_.ensureChain(req->cg, atVnow());
     activate(st);
     ensureShares();
     updateVnow();
-    double abs = static_cast<double>(absCost(*req));
-    st.vtime += abs / std::max(st.share, 1e-9);
-    st.period_abs += abs;
-    chargeSubtree(st.cg, abs);
-    if (inv_ != nullptr) {
-        inv_->checkMonotonicAt(st.inv_vtime_last,
-                               "io.cost vtime monotonicity",
-                               strCat("cgroup '", req->cg->name(), "'"),
-                               st.vtime);
-    }
+    charge(st, static_cast<double>(absCost(*req)));
 }
 
 void
 IoCostGate::submit(Request *req)
 {
-    ensureChainStates(req->cg);
-    CgState &st = stateFor(req->cg);
+    CgState &st = states_.ensureChain(req->cg, atVnow());
     activate(st);
     if (st.queue.empty() &&
         tryCharge(st, req->op, req->sequential, req->size)) {
-        pass_(req);
+        pass(req);
         return;
     }
     st.queue.push_back(QEnt{req, req->op, req->sequential, req->size});
@@ -332,7 +291,7 @@ IoCostGate::drain(CgState &st)
         if (tryCharge(st, head.op, head.sequential, head.size)) {
             st.queue.pop_front();
             --throttled_;
-            pass_(head.req);
+            pass(head.req);
             continue;
         }
         // Compute when the device clock will have advanced enough.
@@ -355,7 +314,7 @@ IoCostGate::drain(CgState &st)
 }
 
 void
-IoCostGate::onDeviceComplete(Request *req)
+IoCostGate::onComplete(Request *req)
 {
     SimTime lat = sim_.now() - req->dispatch_time;
     if (req->op == OpType::kRead)
@@ -381,29 +340,13 @@ IoCostGate::periodTick()
 }
 
 void
-IoCostGate::checkHierarchicalCharges()
+IoCostGate::finalChecks()
 {
-    // Sum each parent's children into a dense-id scratch array, then
-    // require every interior node's own subtree charge to cover it. By
-    // construction (chargeSubtree charges whole chains) equality holds;
-    // a violation means a charge or refund skipped a level.
-    size_t cap = tree_.idCapacity();
-    child_abs_scratch_.assign(cap, 0.0);
-    for (CgState &st : states_) {
-        if (st.cg == nullptr || st.cg->isRoot())
-            continue;
-        const cgroup::Cgroup *parent = st.cg->parent();
-        if (!parent->isRoot())
-            child_abs_scratch_[parent->id()] += st.subtree_abs;
-    }
-    for (CgState &st : states_) {
-        if (st.cg == nullptr || st.cg->children().empty())
-            continue;
-        inv_->checkHierarchy(
-            "io.cost hierarchical charge conservation",
-            strCat("cgroup '", st.cg->name(), "'"),
-            child_abs_scratch_[st.cg->id()], st.subtree_abs);
-    }
+    if (inv_ == nullptr)
+        return;
+    states_.checkHierarchy(
+        *inv_, "io.cost hierarchical charge conservation",
+        tree_.idCapacity(), [](const CgState &st) { return st.subtree_abs; });
 }
 
 void
@@ -449,8 +392,7 @@ IoCostGate::periodWork()
     window_read_lat_.clear();
     window_write_lat_.clear();
 
-    if (inv_ != nullptr)
-        checkHierarchicalCharges();
+    finalChecks();
 
     // Wakeup estimates are stale after a vrate change: re-drain.
     for (CgState &st : states_) {

@@ -4,55 +4,24 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "common/strings.hh"
 #include "sim/invariants.hh"
 
 namespace isol::blk
 {
 
-namespace
-{
-
-std::string
-groupLabel(const cgroup::Cgroup *cg)
-{
-    return cg != nullptr ? cg->name() : std::string("<root>");
-}
-
-} // namespace
-
 IoLatencyGate::IoLatencyGate(sim::Simulator &sim, cgroup::DeviceId dev,
                              cgroup::CgroupTree &tree, PassFn pass,
                              IoLatencyParams params)
-    : sim_(sim), dev_(dev), tree_(tree), pass_(std::move(pass)),
-      params_(params)
+    : QosStage(sim, dev, tree, std::move(pass), kCpuCost), params_(params)
 {
     timer_ = std::make_unique<sim::PeriodicTimer>(
         sim_, params_.window, [this] { windowTick(); });
-    removal_token_ = tree_.addRemovalListener(
-        [this](cgroup::Cgroup &cg) { onCgroupRemoved(cg); });
-}
-
-IoLatencyGate::~IoLatencyGate()
-{
-    tree_.removeRemovalListener(removal_token_);
 }
 
 void
 IoLatencyGate::start()
 {
     timer_->start();
-}
-
-IoLatencyGate::CgState &
-IoLatencyGate::stateFor(const cgroup::Cgroup *cg)
-{
-    CgState *existing = states_.find(cg);
-    if (existing != nullptr)
-        return *existing;
-    CgState &st = states_.stateFor(cg);
-    st.qd_limit = params_.max_nr_requests;
-    return st;
 }
 
 void
@@ -94,7 +63,7 @@ IoLatencyGate::submit(Request *req)
                                  "': admitted past qd_limit ",
                                  st.qd_limit));
         }
-        pass_(req);
+        pass(req);
         return;
     }
     st.queue.push_back(req);
@@ -132,7 +101,7 @@ IoLatencyGate::drain(CgState &st)
                                  "': drained past qd_limit ",
                                  st.qd_limit));
         }
-        pass_(head);
+        pass(head);
     }
 }
 

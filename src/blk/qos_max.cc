@@ -4,7 +4,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "common/strings.hh"
 #include "sim/invariants.hh"
 
 namespace isol::blk
@@ -12,23 +11,8 @@ namespace isol::blk
 
 IoMaxGate::IoMaxGate(sim::Simulator &sim, cgroup::DeviceId dev,
                      cgroup::CgroupTree &tree, PassFn pass)
-    : sim_(sim), dev_(dev), tree_(tree), pass_(std::move(pass))
+    : QosStage(sim, dev, tree, std::move(pass), kCpuCost)
 {
-    removal_token_ = tree_.addRemovalListener(
-        [this](cgroup::Cgroup &cg) { onCgroupRemoved(cg); });
-}
-
-IoMaxGate::~IoMaxGate()
-{
-    tree_.removeRemovalListener(removal_token_);
-}
-
-void
-IoMaxGate::ensureChainStates(const cgroup::Cgroup *cg)
-{
-    for (const cgroup::Cgroup *node = cg;
-         node != nullptr && !node->isRoot(); node = node->parent())
-        states_.stateFor(node);
 }
 
 void
@@ -186,16 +170,15 @@ void
 IoMaxGate::submit(Request *req)
 {
     if (req->cg == nullptr) {
-        pass_(req);
+        pass(req);
         return;
     }
-    ensureChainStates(req->cg);
-    CgState &st = *states_.find(req->cg);
+    CgState &st = states_.ensureChain(req->cg);
     if (st.queue.empty()) {
         SimTime when = admissionTime(req->cg, req->op, req->size);
         if (when <= sim_.now()) {
             consume(req->cg, req->op, req->size);
-            pass_(req);
+            pass(req);
             return;
         }
     }
@@ -224,7 +207,7 @@ IoMaxGate::drain(const cgroup::Cgroup *cg)
             consume(cg, head.op, head.size);
             stp->queue.pop_front();
             --throttled_;
-            pass_(head.req);
+            pass(head.req);
             continue;
         }
         // A sibling may have consumed shared ancestor credit since the
@@ -243,29 +226,15 @@ IoMaxGate::consumedBytesOf(const cgroup::Cgroup *cg) const
 }
 
 void
-IoMaxGate::verifyHierarchicalConsumption()
+IoMaxGate::finalChecks()
 {
     if (inv_ == nullptr)
         return;
-    // Sum each parent's children into a dense-id scratch array, then
-    // require every interior node's own subtree consumption to cover
-    // it (charges walk whole chains, so equality holds unless a level
-    // was skipped).
-    child_bytes_scratch_.assign(tree_.idCapacity(), 0);
-    for (const CgState &st : states_) {
-        const cgroup::Cgroup *parent = st.cg->parent();
-        if (!parent->isRoot())
-            child_bytes_scratch_[parent->id()] += st.consumed_bytes;
-    }
-    for (const CgState &st : states_) {
-        if (st.cg->children().empty())
-            continue;
-        inv_->checkHierarchy(
-            "io.max hierarchical consumption",
-            strCat("cgroup '", st.cg->name(), "'"),
-            static_cast<double>(child_bytes_scratch_[st.cg->id()]),
-            static_cast<double>(st.consumed_bytes));
-    }
+    states_.checkHierarchy(
+        *inv_, "io.max hierarchical consumption", tree_.idCapacity(),
+        [](const CgState &st) {
+            return static_cast<double>(st.consumed_bytes);
+        });
 }
 
 } // namespace isol::blk

@@ -27,14 +27,8 @@
 #define ISOL_BLK_QOS_MAX_HH
 
 #include "blk/cg_state.hh"
-#include "blk/request.hh"
+#include "blk/qos_stage.hh"
 #include "common/ring.hh"
-#include "sim/simulator.hh"
-
-namespace isol::sim
-{
-class InvariantChecker;
-} // namespace isol::sim
 
 namespace isol::blk
 {
@@ -42,11 +36,11 @@ namespace isol::blk
 /**
  * Per-device io.max gate.
  */
-class IoMaxGate
+class IoMaxGate final : public QosStage
 {
   public:
-    /** Passes a request deeper into the pipeline. */
-    using PassFn = sim::SmallFunction<void(Request *)>;
+    /** Submit-side CPU per I/O (limit lookup + bucket update). */
+    static constexpr SimTime kCpuCost = nsToNs(450);
 
     /**
      * @param sim simulator
@@ -56,25 +50,9 @@ class IoMaxGate
      */
     IoMaxGate(sim::Simulator &sim, cgroup::DeviceId dev,
               cgroup::CgroupTree &tree, PassFn pass);
-    ~IoMaxGate();
 
     /** Admit or queue a request. */
-    void submit(Request *req);
-
-    /** Requests currently held back. */
-    size_t throttled() const { return throttled_; }
-
-    /** Groups with live gate state (shrinks on cgroup removal). */
-    size_t trackedGroups() const { return states_.size(); }
-
-    /** Bytes consumed against `cg`'s buckets, subtree-wide (testing). */
-    uint64_t consumedBytesOf(const cgroup::Cgroup *cg) const;
-
-    /** Bookkeeping work: chain-walk steps in admission/consume. */
-    uint64_t bookkeepingOps() const { return bookkeeping_ops_; }
-
-    /** Opt-in runtime invariant checking (nullptr = off). */
-    void setInvariants(sim::InvariantChecker *inv) { inv_ = inv; }
+    void submit(Request *req) override;
 
     /**
      * End-of-run hierarchical conservation: for every interior node,
@@ -82,7 +60,13 @@ class IoMaxGate
      * own (charges always walk whole chains). No-op when checking is
      * off.
      */
-    void verifyHierarchicalConsumption();
+    void finalChecks() override;
+
+    /** Groups with live gate state (shrinks on cgroup removal). */
+    size_t trackedGroups() const { return states_.size(); }
+
+    /** Bytes consumed against `cg`'s buckets, subtree-wide (testing). */
+    uint64_t consumedBytesOf(const cgroup::Cgroup *cg) const;
 
     /**
      * Mutation hook for negative tests: after a fixed number of credit
@@ -134,11 +118,7 @@ class IoMaxGate
         bool draining = false;
     };
 
-    /** Materialize state for `cg` and every ancestor below the root. */
-    void ensureChainStates(const cgroup::Cgroup *cg);
-
-    /** Drop state when a cgroup is removed (tree removal listener). */
-    void onCgroupRemoved(cgroup::Cgroup &cg);
+    void onCgroupRemoved(cgroup::Cgroup &cg) override;
 
     /** Refresh the cached limits when the tree changed. */
     const cgroup::IoMaxLimits &limitsOf(CgState &st);
@@ -163,16 +143,7 @@ class IoMaxGate
     /** Credit horizon (kernel throtl_slice for SSDs is ~20 ms). */
     static constexpr SimTime kSlice = msToNs(20);
 
-    sim::Simulator &sim_;
-    cgroup::DeviceId dev_;
-    cgroup::CgroupTree &tree_;
-    PassFn pass_;
     CgStateArena<CgState> states_;
-    size_t throttled_ = 0;
-    sim::InvariantChecker *inv_ = nullptr;
-    size_t removal_token_ = 0;
-    uint64_t bookkeeping_ops_ = 0;
-    std::vector<uint64_t> child_bytes_scratch_;
     bool debug_corrupt_bucket_ = false;
     uint64_t debug_consumes_ = 0;
 };

@@ -41,7 +41,8 @@ elevatorName(ElevatorType type)
 
 /**
  * One block I/O request flowing through the cgroup-controlled pipeline:
- * io.max throttle -> io.cost -> io.latency -> tags -> elevator -> device.
+ * the device's rq-qos stage list (io.max -> io.cost -> io.latency, see
+ * blk/qos_stage.hh) -> tags -> elevator -> device.
  */
 struct Request
 {

@@ -116,12 +116,12 @@ CgroupTree::removeGroup(Cgroup &group)
     bumpVersion();
 }
 
-size_t
-CgroupTree::addRemovalListener(RemovalListener fn)
+RemovalSubscription
+CgroupTree::subscribeRemoval(RemovalListener fn)
 {
     size_t token = next_listener_token_++;
     removal_listeners_.push_back({token, std::move(fn)});
-    return token;
+    return RemovalSubscription(this, token);
 }
 
 void
@@ -134,6 +134,13 @@ CgroupTree::removeRemovalListener(size_t token)
             return;
         }
     }
+}
+
+void
+RemovalSubscription::reset()
+{
+    if (tree_ != nullptr)
+        std::exchange(tree_, nullptr)->removeRemovalListener(token_);
 }
 
 Cgroup *

@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cgroup/knobs.hh"
@@ -138,6 +139,36 @@ class Cgroup
     IoFaultStat io_fault_;
 };
 
+class CgroupTree;
+
+/**
+ * Move-only handle of one CgroupTree removal listener: the listener stays
+ * registered until the handle is destroyed or reset(). The tree must
+ * outlive it.
+ */
+class RemovalSubscription
+{
+  public:
+    RemovalSubscription(RemovalSubscription &&other) noexcept
+        : tree_(std::exchange(other.tree_, nullptr)), token_(other.token_)
+    {
+    }
+    ~RemovalSubscription() { reset(); }
+
+    /** Unregister now (no-op when empty). */
+    void reset();
+
+  private:
+    friend class CgroupTree;
+    RemovalSubscription(CgroupTree *tree, size_t token)
+        : tree_(tree), token_(token)
+    {
+    }
+
+    CgroupTree *tree_ = nullptr;
+    size_t token_ = 0;
+};
+
 /**
  * The cgroup hierarchy plus the root-only io.cost global configuration.
  */
@@ -199,13 +230,11 @@ class CgroupTree
     void removeGroup(Cgroup &group);
 
     /**
-     * Register a removal listener; returns a token for removal. Order
-     * of notification is registration order.
+     * Register a removal listener for as long as the returned
+     * subscription lives. Order of notification is registration order.
      */
-    size_t addRemovalListener(RemovalListener fn);
-
-    /** Unregister a listener (gates do this in their destructors). */
-    void removeRemovalListener(size_t token);
+    [[nodiscard]] RemovalSubscription
+    subscribeRemoval(RemovalListener fn);
 
     /**
      * Resolve a slash-separated path relative to the root ("a/b/c");
@@ -268,7 +297,11 @@ class CgroupTree
     }
 
   private:
+    friend class RemovalSubscription;
+
     void validateKnobWrite(Cgroup &group, const std::string &file) const;
+
+    void removeRemovalListener(size_t token);
 
     void bumpVersion() { ++version_; }
 

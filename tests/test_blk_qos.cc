@@ -421,7 +421,7 @@ TEST_F(QosFixture, IoCostVrateDropsUnderLatencyViolation)
         for (int i = 0; i < 10; ++i) {
             Request *req = makeReq(cg_a);
             req->dispatch_time = sim.now() - msToNs(1);
-            gate.onDeviceComplete(req);
+            gate.onComplete(req);
         }
     };
     for (int i = 1; i <= 100; ++i)
@@ -444,7 +444,7 @@ TEST_F(QosFixture, IoCostVrateRecovers)
     std::function<void()> slow = [&] {
         Request *req = makeReq(cg_a);
         req->dispatch_time = sim.now() - msToNs(1);
-        gate.onDeviceComplete(req);
+        gate.onComplete(req);
     };
     for (int i = 1; i <= 50; ++i)
         sim.at(msToNs(i), slow);

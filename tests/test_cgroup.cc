@@ -422,11 +422,16 @@ TEST(CgroupTree, RemovalListenersFireWhileGroupIntact)
     CgroupTree tree;
     Cgroup &a = tree.createChild(tree.root(), "a");
     std::string seen;
-    size_t token = tree.addRemovalListener(
+    RemovalSubscription sub = tree.subscribeRemoval(
         [&seen](Cgroup &cg) { seen = cg.path(); });
     tree.removeGroup(a);
     EXPECT_EQ(seen, "/a");
-    tree.removeRemovalListener(token);
+    // Moving the handle keeps the listener; resetting it unregisters.
+    RemovalSubscription moved = std::move(sub);
+    Cgroup &c = tree.createChild(tree.root(), "c");
+    tree.removeGroup(c);
+    EXPECT_EQ(seen, "/c");
+    moved.reset();
     Cgroup &b = tree.createChild(tree.root(), "b");
     seen.clear();
     tree.removeGroup(b);

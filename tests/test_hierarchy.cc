@@ -347,7 +347,7 @@ TEST_F(HierarchyFixture, ChargeConservationOnRandomizedTrees)
         }
 
         // And the gate's own oracle agrees (throws on violation).
-        EXPECT_NO_THROW(gate.checkHierarchicalCharges());
+        EXPECT_NO_THROW(gate.finalChecks());
         EXPECT_GT(inv.checksPerformed(), 0u);
     }
 }
@@ -370,7 +370,7 @@ TEST_F(HierarchyFixture, IoMaxHierarchicalConsumptionConserved)
 
     EXPECT_EQ(gate.consumedBytesOf(&pod),
               gate.consumedBytesOf(&a) + gate.consumedBytesOf(&b));
-    EXPECT_NO_THROW(gate.verifyHierarchicalConsumption());
+    EXPECT_NO_THROW(gate.finalChecks());
 }
 
 // --- 1024-tenant fleet replay ------------------------------------------
