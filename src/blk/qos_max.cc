@@ -25,6 +25,11 @@ IoMaxGate::onCgroupRemoved(cgroup::Cgroup &cg)
         fatal("io.max: cgroup '" + cg.path() + "' removed with " +
               std::to_string(st->queue.size()) + " queued I/Os");
     }
+    if (st->waiter_tail[kRead] != kNoGroup ||
+        st->waiter_tail[kWrite] != kNoGroup) {
+        fatal("io.max: cgroup '" + cg.path() +
+              "' removed with groups waiting on its limit");
+    }
     states_.erase(&cg);
 }
 
@@ -55,15 +60,15 @@ earnTime(uint64_t amount, uint64_t rate)
 
 } // namespace
 
-SimTime
+IoMaxGate::Admission
 IoMaxGate::admissionTime(const cgroup::Cgroup *cg, OpType op,
                          uint32_t size)
 {
     SimTime now = sim_.now();
+    Admission adm{now, kNoGroup};
     if (cg == nullptr)
-        return now;
+        return adm;
     (void)size;
-    SimTime when = now;
     // O(depth) chain walk: the request must clear its own buckets and
     // those of every limited ancestor (an interior io.max is a shared
     // token bucket over the whole subtree).
@@ -79,7 +84,8 @@ IoMaxGate::admissionTime(const cgroup::Cgroup *cg, OpType op,
             // Idle credit is capped: the bucket cannot be "owed" more
             // than one slice into the past.
             SimTime base = std::max(bucket.next_free, now - kSlice);
-            when = std::max(when, base);
+            if (base > adm.when)
+                adm = Admission{base, id};
         };
         bool read = op == OpType::kRead;
         consider(read ? st.rbps : st.wbps,
@@ -87,7 +93,7 @@ IoMaxGate::admissionTime(const cgroup::Cgroup *cg, OpType op,
         consider(read ? st.riops : st.wiops,
                  read ? st.limits.riops : st.limits.wiops);
     }
-    return when;
+    return adm;
 }
 
 void
@@ -142,7 +148,6 @@ IoMaxGate::consume(const cgroup::Cgroup *cg, OpType op, uint32_t size)
         if (st.limited)
             advanceBuckets(st, op, size);
         st.consumed_bytes += size;
-        st.consumed_ios += 1;
         if (inv_ != nullptr && have_child) {
             // This node is the parent of the previous chain entry: a
             // child running ahead of its parent means a skipped level.
@@ -173,10 +178,10 @@ IoMaxGate::submit(Request *req)
         pass(req);
         return;
     }
-    CgState &st = states_.ensureChain(req->cg);
+    CgState &st = states_.ensureChain(
+        req->cg, [this](CgState &fresh) { fresh.gen = ++generations_; });
     if (st.queue.empty()) {
-        SimTime when = admissionTime(req->cg, req->op, req->size);
-        if (when <= sim_.now()) {
+        if (admissionTime(req->cg, req->op, req->size).when <= sim_.now()) {
             consume(req->cg, req->op, req->size);
             pass(req);
             return;
@@ -184,38 +189,137 @@ IoMaxGate::submit(Request *req)
     }
     st.queue.push_back(QEnt{req, req->op, req->size});
     ++throttled_;
-    if (!st.draining) {
-        st.draining = true;
-        const cgroup::Cgroup *cg = req->cg;
+    if (!st.waiting) {
+        st.waiting = true;
         const QEnt &head = st.queue.front();
-        SimTime when = admissionTime(cg, head.op, head.size);
-        sim_.at(std::max(when, sim_.now()), [this, cg] { drain(cg); });
+        wait(st, admissionTime(req->cg, head.op, head.size),
+             dirOf(head.op));
     }
 }
 
 void
-IoMaxGate::drain(const cgroup::Cgroup *cg)
+IoMaxGate::wait(CgState &st, const Admission &adm, int dir)
 {
-    CgState *stp = states_.find(cg);
-    if (stp == nullptr)
-        return; // group removed while a drain was in flight
-    stp->draining = false;
-    while (!stp->queue.empty()) {
-        const QEnt head = stp->queue.front();
-        SimTime when = admissionTime(cg, head.op, head.size);
-        if (when <= sim_.now()) {
-            consume(cg, head.op, head.size);
-            stp->queue.pop_front();
-            --throttled_;
-            pass(head.req);
-            continue;
-        }
-        // A sibling may have consumed shared ancestor credit since the
-        // last estimate; re-arm for the fresh admission time.
-        stp->draining = true;
-        sim_.at(when, [this, cg] { drain(cg); });
+    cgroup::CgroupId self = st.cg->id();
+    if (adm.blocker == kNoGroup || adm.blocker == self) {
+        sim_.at(std::max(adm.when, sim_.now()),
+                [this, self, gen = st.gen] { drain(self, gen); });
         return;
     }
+    // Blocked by an ancestor: join the back of its ring and leave the
+    // timing to the ancestor, so waking it costs one event for all its
+    // waiters, not one per waiter.
+    CgState &node = *states_.findId(adm.blocker);
+    cgroup::CgroupId &tail = node.waiter_tail[dir];
+    if (tail == kNoGroup) {
+        st.next_waiter = self;
+    } else {
+        CgState &last = *states_.findId(tail);
+        st.next_waiter = last.next_waiter;
+        last.next_waiter = self;
+    }
+    tail = self;
+    if (!node.armed[dir]) {
+        node.armed[dir] = true;
+        sim_.at(adm.when, [this, id = adm.blocker, gen = node.gen, dir] {
+            dispatch(id, gen, dir);
+        });
+    }
+}
+
+void
+IoMaxGate::unlinkHead(CgState &node, int dir)
+{
+    cgroup::CgroupId tail = node.waiter_tail[dir];
+    CgState &last = *states_.findId(tail);
+    cgroup::CgroupId first = last.next_waiter;
+    CgState &head = *states_.findId(first);
+    if (first == tail)
+        node.waiter_tail[dir] = kNoGroup;
+    else
+        last.next_waiter = head.next_waiter;
+    head.next_waiter = kNoGroup;
+}
+
+void
+IoMaxGate::release(cgroup::CgroupId id)
+{
+    for (;;) {
+        // Re-looked-up every turn: pass() may register new groups,
+        // which moves arena records.
+        CgState &st = *states_.findId(id);
+        if (st.queue.empty()) {
+            st.waiting = false;
+            return;
+        }
+        const QEnt head = st.queue.front();
+        Admission adm = admissionTime(st.cg, head.op, head.size);
+        if (adm.when > sim_.now()) {
+            wait(st, adm, dirOf(head.op));
+            return;
+        }
+        consume(st.cg, head.op, head.size);
+        st.queue.pop_front();
+        --throttled_;
+        pass(head.req);
+    }
+}
+
+void
+IoMaxGate::drain(cgroup::CgroupId id, uint32_t gen)
+{
+    CgState *st = states_.findId(id);
+    if (st == nullptr || st->gen != gen)
+        return; // the group was removed; the id may have been reused
+    release(id);
+}
+
+void
+IoMaxGate::dispatch(cgroup::CgroupId id, uint32_t gen, int dir)
+{
+    CgState *node = states_.findId(id);
+    if (node == nullptr || node->gen != gen)
+        return;
+    // armed[dir] stays set while serving: a group that parks here
+    // meanwhile joins the ring instead of arming a second timer.
+    for (;;) {
+        node = states_.findId(id);
+        cgroup::CgroupId tail = node->waiter_tail[dir];
+        if (tail == kNoGroup)
+            break;
+        cgroup::CgroupId first = states_.findId(tail)->next_waiter;
+        CgState &st = *states_.findId(first);
+        const QEnt head = st.queue.front();
+        Admission adm = admissionTime(st.cg, head.op, head.size);
+        if (adm.when > sim_.now()) {
+            if (adm.blocker == id) {
+                // Out of credit: every waiter in this ring needs it.
+                sim_.at(adm.when,
+                        [this, id, gen, dir] { dispatch(id, gen, dir); });
+                return;
+            }
+            unlinkHead(*node, dir);
+            wait(st, adm, dir);
+            continue;
+        }
+        consume(st.cg, head.op, head.size);
+        st.queue.pop_front();
+        --throttled_;
+        // One request per turn: a group whose next request goes the
+        // same way moves to the back of the ring; any other leaves it.
+        bool more = !st.queue.empty();
+        bool stays = more && dirOf(st.queue.front().op) == dir;
+        if (stays)
+            node->waiter_tail[dir] = first;
+        else
+            unlinkHead(*node, dir);
+        if (!more)
+            st.waiting = false;
+        pass(head.req);
+        if (more && !stays)
+            release(first);
+    }
+    node->armed[dir] = false;
 }
 
 uint64_t

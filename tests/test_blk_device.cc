@@ -566,8 +566,8 @@ INSTANTIATE_TEST_SUITE_P(
                  {15415u, 1369u, 1426u, 0u, 0u, 0u, 0u,
                   0xf3acc6e0ee1e6d25ULL}},
         PinParam{"TreeIoMaxIoCost", PinCase::kTreeIoMaxIoCost,
-                 {8205u, 697u, 2859u, 0u, 0u, 0u, 0u,
-                  0x38cb24c15f3570f4ULL}},
+                 {7989u, 683u, 2774u, 0u, 0u, 0u, 0u,
+                  0xdee90ffcdfaba2dcULL}},
         PinParam{"IoCostTimeouts", PinCase::kIoCostTimeouts,
                  {15468u, 1350u, 1424u, 17u, 16u, 1u, 17u,
                   0x376bb5413bf3e371ULL}}),

@@ -25,10 +25,14 @@ With --fleet-sweep, the gate additionally reads a BENCH_sweep.json
 produced by `bench/fleet_scale` and enforces an absolute events/sec
 floor on every 1024-tenant per-scenario entry (names starting with
 --fleet-prefix, default "fleet_t1024"). The floor is deliberately far
-below the reference machine's numbers (io.cost ~330k, io.max ~2.5M
-events/sec) so it only trips on gross bookkeeping blow-ups — e.g. a
-per-cgroup walk going O(groups) instead of O(depth) — not on runner
-speed.
+below what these scenarios run at (about 1.4M events/sec for io.cost and
+1.9M for io.max on a 4-vCPU host, RelWithDebInfo, `--jobs 2`) so it only
+trips on gross bookkeeping blow-ups — e.g. a per-cgroup walk going
+O(groups) instead of O(depth) — not on runner speed. Events/sec is a
+rate of work, not of useful work: when io.max's interior caps stopped
+waking every waiting sibling per admission, the io.max scenario fell
+from about 6.6M to 1.9M events/sec while its wall time fell from 1.32 s
+to 0.38 s, so read it beside events per I/O.
 """
 
 import argparse
