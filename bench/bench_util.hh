@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared helpers for the figure/table benchmark harnesses: environment
- * knobs for runtime vs fidelity, supervised-sweep plumbing, and small
+ * knobs for runtime vs fidelity, named-sweep plumbing, and small
  * printing utilities.
  *
  * Environment variables:
@@ -18,9 +18,9 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/strings.hh"
 #include "common/types.hh"
-#include "isolbench/supervisor.hh"
 #include "isolbench/sweep.hh"
 #include "sim/invariants.hh"
 #include "workload/adversary.hh"
@@ -69,8 +69,8 @@ adversary()
  *   --task-max-events N   simulated-event budget per task
  *   --resume              skip tasks checkpointed in the run manifest
  *   --only N              run only task index N of the outermost
- *                         supervised sweep (nested sweeps run in full)
- *   --manifest PATH       manifest file (default <prog>.manifest.json)
+ *                         named sweep (nested sweeps run in full)
+ *   --manifest PATH       checkpoint log (default <prog>.manifest)
  *   --adversary NAME      add a misbehaving tenant (queue-flood, gc-storm,
  *                         square-wave, flush-storm, slow-drain) in benches
  *                         that support one
@@ -80,54 +80,24 @@ adversary()
 inline void
 parseArgs(int argc, char **argv)
 {
-    namespace supervisor = isolbench::supervisor;
-    supervisor::Options opt = supervisor::options();
+    isolbench::sweep::Options opt = isolbench::sweep::options();
     if (opt.manifest_path.empty()) {
         std::string prog = argv[0];
         size_t slash = prog.find_last_of('/');
         if (slash != std::string::npos)
             prog = prog.substr(slash + 1);
-        opt.manifest_path = prog + ".manifest.json";
+        opt.manifest_path = prog + ".manifest";
     }
 
-    auto uintValue = [argv](int argc_, char **argv_, int &i) {
-        auto parsed = i + 1 < argc_
-                          ? isol::parseUint(argv_[++i])
-                          : std::optional<uint64_t>{};
-        if (!parsed) {
-            std::fprintf(stderr, "%s: bad or missing value for '%s'\n",
-                         argv[0], argv_[i]);
+    for (int i = 1; i < argc; ++i) {
+        try {
+            if (isolbench::sweep::parseFlag(argc, argv, i, opt, true))
+                continue;
+        } catch (const FatalError &e) {
+            std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
             std::exit(2);
         }
-        return *parsed;
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0) {
-            uint64_t jobs = uintValue(argc, argv, i);
-            if (jobs == 0) {
-                std::fprintf(stderr, "%s: bad --jobs value\n", argv[0]);
-                std::exit(2);
-            }
-            isolbench::sweep::setDefaultJobs(
-                static_cast<uint32_t>(jobs));
-        } else if (std::strcmp(argv[i], "--task-timeout-ms") == 0) {
-            opt.task_timeout_ms =
-                static_cast<double>(uintValue(argc, argv, i));
-        } else if (std::strcmp(argv[i], "--task-max-events") == 0) {
-            opt.max_task_events = uintValue(argc, argv, i);
-        } else if (std::strcmp(argv[i], "--resume") == 0) {
-            opt.resume = true;
-        } else if (std::strcmp(argv[i], "--only") == 0) {
-            opt.only = uintValue(argc, argv, i);
-        } else if (std::strcmp(argv[i], "--manifest") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: missing value for '--manifest'\n",
-                             argv[0]);
-                std::exit(2);
-            }
-            opt.manifest_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--adversary") == 0) {
+        if (std::strcmp(argv[i], "--adversary") == 0) {
             if (i + 1 >= argc) {
                 std::fprintf(stderr,
                              "%s: missing value for '--adversary'\n",
@@ -156,25 +126,22 @@ parseArgs(int argc, char **argv)
             std::exit(2);
         }
     }
-
-    supervisor::setOptions(opt);
-    if (opt.resume)
-        supervisor::loadManifestFile(opt.manifest_path);
+    isolbench::sweep::setOptions(opt);
 }
 
 /**
- * Run a supervised, checkpointed sweep of payload-producing tasks and
+ * Run a named, checkpointed sweep of payload-producing tasks and
  * return the payloads (task order; "" where a task failed or was
  * skipped via --only). Task failures surface in the failure table
  * printed by emitSweepReport(), not as exceptions, so one bad grid
  * point cannot take down a whole figure.
  */
 inline std::vector<std::string>
-supervisedSweep(const std::string &name,
-                const std::vector<isolbench::supervisor::Task> &tasks)
+checkpointedSweep(const std::string &name,
+                  const std::vector<isolbench::sweep::Task> &tasks)
 {
     std::vector<std::string> payloads;
-    isolbench::supervisor::run(name, tasks, payloads);
+    isolbench::sweep::run(name, tasks, payloads);
     return payloads;
 }
 
@@ -220,7 +187,7 @@ parseHexDouble(const std::string &text)
 }
 
 /**
- * Emit the sweep self-profile and the supervisor failure table: a
+ * Emit the sweep self-profile and the sweep failure table: a
  * summary on stderr (stdout stays byte-identical across thread counts
  * and across --resume) plus BENCH_sweep.json for cross-PR perf
  * tracking.
@@ -230,7 +197,7 @@ emitSweepReport()
 {
     std::fprintf(stderr, "%s\n",
                  isolbench::sweep::profileSummaryLine().c_str());
-    std::fputs(isolbench::supervisor::failureTable().c_str(), stderr);
+    std::fputs(isolbench::sweep::failureTable().c_str(), stderr);
     std::string path = outPath("BENCH_sweep.json");
     if (!isolbench::sweep::writeProfileJson(path))
         std::fprintf(stderr, "warning: could not write %s\n", path.c_str());

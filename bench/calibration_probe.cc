@@ -29,7 +29,7 @@ main(int argc, char **argv)
     stats::Table table({"metric", "paper", "simulated"});
     D1Options opts;
 
-    // Every probe is a supervised task whose payload is the measured
+    // Every probe is a checkpointed task whose payload is the measured
     // double as a hexfloat, so checkpointed values round-trip bit-exact
     // through the manifest and a --resume prints the same table.
     auto lcP99 = [&opts](Knob knob, uint32_t apps) {
@@ -52,7 +52,7 @@ main(int argc, char **argv)
                 runBatchScaling(knob, apps, ssds, opts).agg_gibs);
         };
     };
-    std::vector<supervisor::Task> tasks = {
+    std::vector<sweep::Task> tasks = {
         lcP99(Knob::kNone, 1),
         lcP99(Knob::kMqDeadline, 1),
         lcP99(Knob::kBfq, 1),
@@ -70,7 +70,7 @@ main(int argc, char **argv)
         batchGibs(Knob::kIoCost, 17, 7),
     };
     std::vector<std::string> payloads =
-        bench::supervisedSweep("calibration", tasks);
+        bench::checkpointedSweep("calibration", tasks);
 
     LcScalingResult none1, mq1, bfq1, none16, cost16, none8, cost8;
     BatchScalingResult bnone1, bmq1, bbfq1;

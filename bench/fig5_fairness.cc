@@ -20,7 +20,7 @@
 #include "bench_util.hh"
 #include "common/strings.hh"
 #include "isolbench/d2_fairness.hh"
-#include "isolbench/supervisor.hh"
+#include "isolbench/sweep.hh"
 #include "stats/table.hh"
 
 using namespace isol;
@@ -47,10 +47,10 @@ runPanel(const char *name, const char *title, bool weighted,
             grid.push_back({cgroups, knob});
     }
 
-    // Each grid point runs as a supervised task returning its table row
+    // Each grid point runs as a checkpointed task returning its table row
     // as a payload; the manifest checkpoints payloads, so a --resume
     // after an interrupt reprints the exact same table.
-    std::vector<supervisor::Task> tasks;
+    std::vector<sweep::Task> tasks;
     tasks.reserve(grid.size());
     for (size_t i = 0; i < grid.size(); ++i) {
         // isol: parallel
@@ -65,8 +65,8 @@ runPanel(const char *name, const char *title, bool weighted,
                  bench::gibs(res.agg_gibs_mean)});
         });
     }
-    std::vector<std::string> payloads = bench::supervisedSweep(name,
-                                                               tasks);
+    std::vector<std::string> payloads =
+        bench::checkpointedSweep(name, tasks);
 
     stats::Table table({"cgroups", "knob", "jain", "jain-stddev",
                         "agg GiB/s"});

@@ -35,7 +35,7 @@
 #include "common/rng.hh"
 #include "common/strings.hh"
 #include "isolbench/scenario.hh"
-#include "isolbench/supervisor.hh"
+#include "isolbench/sweep.hh"
 #include "stats/table.hh"
 
 using namespace isol;
@@ -191,7 +191,7 @@ main(int argc, char **argv)
     std::printf("Fleet-scale hierarchical cgroup stress: "
                 "8 pods, heterogeneous tenants, one adversary per pod\n");
 
-    std::vector<supervisor::Task> tasks;
+    std::vector<sweep::Task> tasks;
     tasks.reserve(grid.size());
     for (size_t i = 0; i < grid.size(); ++i) {
         // isol: parallel
@@ -210,7 +210,7 @@ main(int argc, char **argv)
         });
     }
     std::vector<std::string> payloads =
-        bench::supervisedSweep("fleet_scale", tasks);
+        bench::checkpointedSweep("fleet_scale", tasks);
 
     stats::Table table({"tenants", "levels", "knob", "agg GiB/s",
                         "events", "bookkeeping", "bk/event", "groups"});

@@ -80,7 +80,7 @@ main(int argc, char **argv)
     // Baselines from the no-knob configuration. Payloads carry the
     // doubles as hexfloats so a --resume restores them bit-exactly.
     // isol: parallel
-    std::vector<supervisor::Task> baseline_tasks = {
+    std::vector<sweep::Task> baseline_tasks = {
         [&]() -> std::string {
             return bench::hexDouble(runLcScaling(Knob::kNone, 1, d1)
                                         .p99_us);
@@ -91,7 +91,7 @@ main(int argc, char **argv)
         },
     };
     std::vector<std::string> baselines =
-        bench::supervisedSweep("table1-baselines", baseline_tasks);
+        bench::checkpointedSweep("table1-baselines", baseline_tasks);
     LcScalingResult none_lat;
     none_lat.p99_us = bench::parseHexDouble(baselines[0]);
     BatchScalingResult none_bw;
@@ -116,9 +116,9 @@ main(int argc, char **argv)
     };
 
     // Each knob's verdicts come from an independent batch of runs, so
-    // the five rows evaluate concurrently as supervised checkpointed
+    // the five rows evaluate concurrently as checkpointed
     // tasks; the table is assembled from the row payloads in row order.
-    std::vector<supervisor::Task> row_tasks;
+    std::vector<sweep::Task> row_tasks;
     row_tasks.reserve(rows.size());
     for (size_t row_idx = 0; row_idx < rows.size(); ++row_idx) {
         // isol: parallel
@@ -223,7 +223,7 @@ main(int argc, char **argv)
         });
     }
     std::vector<std::string> row_payloads =
-        bench::supervisedSweep("table1-rows", row_tasks);
+        bench::checkpointedSweep("table1-rows", row_tasks);
 
     for (const std::string &payload : row_payloads) {
         if (!payload.empty())

@@ -2,6 +2,7 @@
 #include "blk/qos_max.hh"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/logging.hh"
 #include "sim/invariants.hh"
@@ -180,8 +181,12 @@ IoMaxGate::submit(Request *req)
     }
     CgState &st = states_.ensureChain(
         req->cg, [this](CgState &fresh) { fresh.gen = ++generations_; });
+    // An arrival at an empty queue is its own head: the admission that
+    // blocks it is also the one it waits on, so the chain is walked once.
+    std::optional<Admission> adm;
     if (st.queue.empty()) {
-        if (admissionTime(req->cg, req->op, req->size).when <= sim_.now()) {
+        adm = admissionTime(req->cg, req->op, req->size);
+        if (adm->when <= sim_.now()) {
             consume(req->cg, req->op, req->size);
             pass(req);
             return;
@@ -192,8 +197,9 @@ IoMaxGate::submit(Request *req)
     if (!st.waiting) {
         st.waiting = true;
         const QEnt &head = st.queue.front();
-        wait(st, admissionTime(req->cg, head.op, head.size),
-             dirOf(head.op));
+        if (!adm)
+            adm = admissionTime(req->cg, head.op, head.size);
+        wait(st, *adm, dirOf(head.op));
     }
 }
 

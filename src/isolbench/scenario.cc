@@ -5,7 +5,6 @@
 
 #include "common/logging.hh"
 #include "common/strings.hh"
-#include "isolbench/supervisor.hh"
 #include "isolbench/sweep.hh"
 #include "isolbench/validate.hh"
 
@@ -340,28 +339,21 @@ Scenario::run()
         busy_at_warmup_ = cpus_->totalBusyNs();
     });
     double wall_start_ms = sweep::monotonicMs();
-    if (supervisor::guardActive()) {
-        // Same event order as runUntil(); the chunk boundaries only
-        // decide when the guard gets to look at the wall clock and the
-        // event budget, so supervised runs stay byte-identical.
-        constexpr uint64_t kGuardChunkEvents = 8192;
-        try {
-            for (;;) {
-                uint64_t executed =
-                    sim_.runChunk(cfg_.duration, kGuardChunkEvents);
-                supervisor::chargeGuardEvents(executed);
-                supervisor::pollGuardDeadline();
-                if (executed < kGuardChunkEvents)
-                    break;
-            }
-        } catch (const supervisor::TaskAbort &abort) {
-            // Budget/watchdog trips name the offending tenant so the
-            // supervised failure table is actionable without a replay.
-            throw supervisor::TaskAbort(
-                abort.kind(), strCat(abort.what(), blameDetail()));
-        }
-    } else {
-        sim_.runUntil(cfg_.duration);
+    // Events run in chunks so the task guard can look at its watchdog
+    // and event budget in between; the chunk boundaries do not change
+    // the event order, so guarded runs stay byte-identical.
+    constexpr uint64_t kGuardChunkEvents = 8192;
+    try {
+        uint64_t executed;
+        do {
+            executed = sim_.runChunk(cfg_.duration, kGuardChunkEvents);
+            sweep::checkGuard(executed);
+        } while (executed == kGuardChunkEvents);
+    } catch (const sweep::SweepError &abort) {
+        // Budget/watchdog trips name the offending tenant so the
+        // failure table is actionable without a replay.
+        throw sweep::SweepError(abort.kind(),
+                                strCat(abort.what(), blameDetail()));
     }
     double wall_ms = sweep::monotonicMs() - wall_start_ms;
 
@@ -392,7 +384,7 @@ Scenario::run()
     sweep::recordProfile(std::move(profile));
 
     // A run that finishes with inconsistent counters must not flow into
-    // a figure; the supervisor classifies this as invariant_violation.
+    // a figure; the run layer classifies this as invariant_violation.
     validate::enforce(validate::checkScenario(*this), cfg_.name);
 }
 

@@ -8,8 +8,9 @@
  * completed + outstanding, failed <= completed), non-negative finite
  * throughput, monotone latency percentiles (p50 <= p95 <= p99), CPU
  * utilisation inside [0, 1] — and a violation raises a structured
- * InvariantViolation that the sweep supervisor classifies as
- * `invariant_violation` (unsupervised runs see the exception directly).
+ * InvariantViolation that the sweep layer classifies as
+ * `invariant_violation` (runs outside the pool see the exception
+ * directly).
  *
  * The individual checks are pure functions over plain numbers so tests
  * can feed them doctored results without building a simulation.

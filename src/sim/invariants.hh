@@ -28,8 +28,8 @@
  * `ISOL_CHECK_INVARIANTS` env var / `--check-invariants` flag): hooks
  * are a single null-pointer test when disabled, so the default build
  * pays nothing. A violation throws InvariantViolation immediately; the
- * sweep supervisor classifies it as `invariant_violation`, so supervised
- * campaigns report (and retry) tripped scenarios instead of crashing.
+ * sweep layer classifies it as `invariant_violation`, so campaigns
+ * report tripped scenarios instead of crashing.
  *
  * The checker lives in sim/ and is deliberately blind to the block
  * layer's types: call sites identify groups, series, and requests by

@@ -21,9 +21,9 @@ namespace isol::sim
 /**
  * Thrown instead of fatal() when an execution budget (the runAll event
  * storm guard) trips on a thread where budgets are recoverable — i.e.
- * the run executes under the sweep supervisor, which converts it into a
+ * the run executes as a sweep pool task, whose guard converts it into a
  * structured resource_exhausted task error instead of tearing down the
- * whole sweep. Unsupervised runs keep the hard fatal() path.
+ * whole sweep. Runs outside the pool keep the hard fatal() path.
  */
 class BudgetExceeded : public std::runtime_error
 {
@@ -35,10 +35,10 @@ class BudgetExceeded : public std::runtime_error
 };
 
 // isol-lint: allow(D4): per-thread error-path policy flag set by the
-// sweep supervisor's task guard; never read by simulation decisions
+// sweep pool's task guard; never read by simulation decisions
 inline thread_local bool t_recoverable_budgets = false;
 
-/** True when budget overruns should throw BudgetExceeded (supervised). */
+/** True when budget overruns should throw BudgetExceeded (pool task). */
 inline bool
 recoverableBudgets()
 {
@@ -140,8 +140,8 @@ class Simulator
      * Run until the event queue is empty. A non-zero `max_events` caps
      * how many events this call may execute: self-rescheduling event
      * storms (e.g. a mis-wired periodic timer) then fail loudly instead
-     * of hanging the process — via a recoverable BudgetExceeded under a
-     * supervised sweep task, via fatal() otherwise.
+     * of hanging the process — via a recoverable BudgetExceeded in a
+     * sweep pool task, via fatal() otherwise.
      */
     void
     runAll(uint64_t max_events = 0)

@@ -557,7 +557,7 @@ INSTANTIATE_TEST_SUITE_P(
                  {87029u, 9220u, 0u, 0u, 0u, 0u, 0u,
                   0x203cfb2a75d2177eULL}},
         PinParam{"IoMax", PinCase::kIoMax,
-                 {2740u, 251u, 665u, 0u, 0u, 0u, 0u,
+                 {2740u, 251u, 662u, 0u, 0u, 0u, 0u,
                   0x1be5b8521a5c1f06ULL}},
         PinParam{"IoLatency", PinCase::kIoLatency,
                  {71774u, 7491u, 48u, 0u, 0u, 0u, 0u,
@@ -566,7 +566,7 @@ INSTANTIATE_TEST_SUITE_P(
                  {15415u, 1369u, 1426u, 0u, 0u, 0u, 0u,
                   0xf3acc6e0ee1e6d25ULL}},
         PinParam{"TreeIoMaxIoCost", PinCase::kTreeIoMaxIoCost,
-                 {7989u, 683u, 2774u, 0u, 0u, 0u, 0u,
+                 {7989u, 683u, 2768u, 0u, 0u, 0u, 0u,
                   0xdee90ffcdfaba2dcULL}},
         PinParam{"IoCostTimeouts", PinCase::kIoCostTimeouts,
                  {15468u, 1350u, 1424u, 17u, 16u, 1u, 17u,

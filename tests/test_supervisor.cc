@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the fault-tolerant sweep supervisor: error taxonomy,
- * watchdog and event-budget guards, result validation, manifest
- * round-trip, and the --resume / --only flows.
+ * Tests for the supervision half of the sweep layer: error taxonomy,
+ * watchdog and event-budget guards, result validation, the checkpoint
+ * log (line round-trip, torn tail, doctored digest), and the --resume /
+ * --only flows.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +18,6 @@
 #include "common/logging.hh"
 #include "common/strings.hh"
 #include "isolbench/scenario.hh"
-#include "isolbench/supervisor.hh"
 #include "isolbench/sweep.hh"
 #include "isolbench/validate.hh"
 #include "sim/simulator.hh"
@@ -27,9 +27,9 @@ namespace isol::isolbench
 namespace
 {
 
-namespace sup = supervisor;
+namespace sup = sweep;
 
-/** Fresh supervisor state plus a per-test manifest path. */
+/** Fresh sweep-layer state plus a per-test manifest path. */
 class SupervisorTest : public ::testing::Test
 {
   protected:
@@ -41,7 +41,7 @@ class SupervisorTest : public ::testing::Test
                                 ::testing::UnitTest::GetInstance()
                                     ->current_test_info()
                                     ->name(),
-                                ".manifest.json");
+                                ".manifest");
         std::remove(manifest_path_.c_str());
     }
 
@@ -86,8 +86,8 @@ TEST_F(SupervisorTest, ClassifyErrorTaxonomy)
         return sup::classifyError(0, capture(fn)).kind;
     };
     EXPECT_EQ(kind_of([] {
-                  throw sup::TaskAbort(sup::TaskErrorKind::kTimeout,
-                                       "late");
+                  throw sup::SweepError(sup::TaskErrorKind::kTimeout,
+                                        "late");
               }),
               sup::TaskErrorKind::kTimeout);
     EXPECT_EQ(kind_of([] { throw sim::BudgetExceeded("storm"); }),
@@ -152,13 +152,13 @@ TEST_F(SupervisorTest, WatchdogDeadlineFiresAsTimeout)
         EXPECT_TRUE(sup::guardActive());
         for (int i = 0; i < 100; ++i) {
             std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            sup::pollGuardDeadline();
+            sup::checkGuard(0);
         }
         return "should have timed out";
     }};
     std::vector<std::string> payloads;
     sup::SweepReport report =
-        sup::runUncheckpointed("watchdog-sweep", tasks, payloads, 1);
+        sup::run("watchdog-sweep", tasks, payloads, 1);
     EXPECT_EQ(report.failed, 1u);
     ASSERT_FALSE(report.errors.empty());
     EXPECT_EQ(report.errors[0].kind, sup::TaskErrorKind::kTimeout);
@@ -186,7 +186,7 @@ TEST_F(SupervisorTest, EventBudgetStopsRunawayScenario)
     }};
     std::vector<std::string> payloads;
     sup::SweepReport report =
-        sup::runUncheckpointed("budget-sweep", tasks, payloads, 1);
+        sup::run("budget-sweep", tasks, payloads, 1);
     EXPECT_EQ(report.failed, 1u);
     ASSERT_FALSE(report.errors.empty());
     EXPECT_EQ(report.errors[0].kind,
@@ -215,7 +215,7 @@ TEST_F(SupervisorTest, StormGuardRecoverableUnderSupervision)
     }};
     std::vector<std::string> payloads;
     sup::SweepReport report =
-        sup::runUncheckpointed("storm-sweep", tasks, payloads, 1);
+        sup::run("storm-sweep", tasks, payloads, 1);
     EXPECT_EQ(report.failed, 1u);
     ASSERT_FALSE(report.errors.empty());
     EXPECT_EQ(report.errors[0].kind,
@@ -267,38 +267,52 @@ TEST_F(SupervisorTest, DoctoredResultsFailValidation)
     }};
     std::vector<std::string> payloads;
     sup::SweepReport report =
-        sup::runUncheckpointed("invariant-sweep", tasks, payloads, 1);
+        sup::run("invariant-sweep", tasks, payloads, 1);
     ASSERT_FALSE(report.errors.empty());
     EXPECT_EQ(report.errors[0].kind,
               sup::TaskErrorKind::kInvariantViolation);
 }
 
+/** Parse a manifest line as written (newline stripped). */
+bool
+parseWritten(const std::string &line, sup::ManifestEntry &out)
+{
+    EXPECT_FALSE(line.empty());
+    EXPECT_EQ(line.back(), '\n');
+    return sup::parseManifestLine(line.substr(0, line.size() - 1), out);
+}
+
 TEST_F(SupervisorTest, ManifestRoundTripEscapesPayloads)
 {
-    sup::ManifestSweep sweep;
-    sweep.name = "round\ttrip \"sweep\"\n";
-    sweep.tasks = 3;
-    std::string payload = "cell1\tcell2\nline \"quoted\" \\slash\x01";
-    sweep.entries.push_back(
-        sup::ManifestEntry{0, sup::digestOf(payload), payload});
-    sweep.entries.push_back(sup::ManifestEntry{2, sup::digestOf(""), ""});
+    sup::ManifestEntry entry{"round\ttrip \"sweep\"\n", 3, 0,
+                             "cell1\tcell2\nline \"quoted\" \\slash\x01\\t"};
+    std::string line = sup::manifestLine(entry);
+    // One line per entry: payload tabs and newlines are escaped.
+    EXPECT_EQ(line.find('\n'), line.size() - 1);
+    sup::ManifestEntry decoded;
+    ASSERT_TRUE(parseWritten(line, decoded));
+    EXPECT_EQ(decoded.sweep, entry.sweep);
+    EXPECT_EQ(decoded.tasks, 3u);
+    EXPECT_EQ(decoded.task, 0u);
+    EXPECT_EQ(decoded.payload, entry.payload);
 
-    std::string text = sup::encodeManifest({sweep});
-    std::vector<sup::ManifestSweep> decoded;
-    ASSERT_TRUE(sup::decodeManifest(text, decoded));
-    ASSERT_EQ(decoded.size(), 1u);
-    EXPECT_EQ(decoded[0].name, sweep.name);
-    EXPECT_EQ(decoded[0].tasks, 3u);
-    ASSERT_EQ(decoded[0].entries.size(), 2u);
-    EXPECT_EQ(decoded[0].entries[0].task, 0u);
-    EXPECT_EQ(decoded[0].entries[0].payload, payload);
-    EXPECT_EQ(decoded[0].entries[0].digest, sup::digestOf(payload));
-    EXPECT_EQ(decoded[0].entries[1].task, 2u);
-    EXPECT_EQ(decoded[0].entries[1].payload, "");
+    sup::ManifestEntry empty{"s", 3, 2, ""};
+    ASSERT_TRUE(parseWritten(sup::manifestLine(empty), decoded));
+    EXPECT_EQ(decoded.task, 2u);
+    EXPECT_EQ(decoded.payload, "");
 
-    std::vector<sup::ManifestSweep> none;
-    EXPECT_FALSE(sup::decodeManifest("not json", none));
-    EXPECT_FALSE(sup::decodeManifest("{\"sweeps\": [", none));
+    // Malformed lines, out-of-range indices and bad escapes never parse.
+    sup::ManifestEntry none;
+    EXPECT_FALSE(sup::parseManifestLine("not a manifest line", none));
+    EXPECT_FALSE(sup::parseManifestLine("", none));
+    std::string good = sup::manifestLine(sup::ManifestEntry{"s", 2, 1, "x"});
+    good.pop_back();
+    EXPECT_TRUE(sup::parseManifestLine(good, none));
+    EXPECT_FALSE(sup::parseManifestLine(good + "\tmore", none));
+    std::string out_of_range = good;
+    out_of_range.replace(out_of_range.find("\t2\t1\t"), 5, "\t1\t1\t");
+    EXPECT_FALSE(sup::parseManifestLine(out_of_range, none));
+    EXPECT_FALSE(sup::parseManifestLine(good + "\\", none));
 }
 
 TEST_F(SupervisorTest, DigestIsStable)
@@ -306,6 +320,29 @@ TEST_F(SupervisorTest, DigestIsStable)
     EXPECT_EQ(sup::digestOf("abc"), sup::digestOf("abc"));
     EXPECT_NE(sup::digestOf("abc"), sup::digestOf("abd"));
     EXPECT_EQ(sup::digestOf("").size(), 16u);
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::string text;
+    if (std::FILE *f = std::fopen(path.c_str(), "r")) {
+        char buf[4096];
+        size_t got;
+        while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
+            text.append(buf, got);
+        std::fclose(f);
+    }
+    return text;
+}
+
+void
+writeFile(const std::string &path, const std::string &text)
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(text.c_str(), f);
+    std::fclose(f);
 }
 
 TEST_F(SupervisorTest, ResumeSalvagesCheckpointedTasks)
@@ -336,7 +373,6 @@ TEST_F(SupervisorTest, ResumeSalvagesCheckpointedTasks)
     sup::resetForTest();
     opt.resume = true;
     sup::setOptions(opt);
-    ASSERT_TRUE(sup::loadManifestFile(manifest_path_));
     std::vector<std::string> payloads2;
     sup::SweepReport second =
         sup::run("resume-sweep", make_tasks(), payloads2, 8);
@@ -357,26 +393,15 @@ TEST_F(SupervisorTest, ResumeRejectsDoctoredDigest)
     sup::run("digest-sweep", tasks, payloads, 1);
 
     // Corrupt the checkpointed payload on disk, keeping the old digest.
-    std::FILE *f = std::fopen(manifest_path_.c_str(), "r");
-    ASSERT_NE(f, nullptr);
-    std::string text;
-    char buf[4096];
-    size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, got);
-    std::fclose(f);
+    std::string text = readFile(manifest_path_);
     size_t pos = text.find("honest");
     ASSERT_NE(pos, std::string::npos);
     text.replace(pos, 6, "forged");
-    f = std::fopen(manifest_path_.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs(text.c_str(), f);
-    std::fclose(f);
+    writeFile(manifest_path_, text);
 
     sup::resetForTest();
     opt.resume = true;
     sup::setOptions(opt);
-    ASSERT_TRUE(sup::loadManifestFile(manifest_path_));
     std::vector<std::string> payloads2;
     sup::SweepReport report =
         sup::run("digest-sweep", tasks, payloads2, 1);
@@ -384,6 +409,56 @@ TEST_F(SupervisorTest, ResumeRejectsDoctoredDigest)
     EXPECT_EQ(report.salvaged, 0u);
     EXPECT_EQ(report.completed, 1u);
     EXPECT_EQ(payloads2[0], "honest");
+}
+
+TEST_F(SupervisorTest, ResumeDropsTornManifestTail)
+{
+    constexpr size_t kTasks = 5;
+    std::atomic<uint32_t> executions{0};
+    std::vector<sup::Task> tasks;
+    for (size_t i = 0; i < kTasks; ++i) {
+        tasks.push_back([&executions, i]() -> std::string {
+            ++executions;
+            return strCat("row\t", i, "\nwith \\ escapes");
+        });
+    }
+    sup::Options opt;
+    opt.manifest_path = manifest_path_;
+    sup::setOptions(opt);
+    std::vector<std::string> reference;
+    sup::run("torn-sweep", tasks, reference, 1);
+    ASSERT_EQ(executions.load(), kTasks);
+
+    // A kill mid-write: cut the log in the middle of its last line.
+    std::string text = readFile(manifest_path_);
+    ASSERT_EQ(text.back(), '\n');
+    size_t last = text.rfind('\n', text.size() - 2) + 1;
+    std::string last_line = text.substr(last, text.size() - 1 - last);
+    sup::ManifestEntry torn;
+    ASSERT_TRUE(sup::parseManifestLine(last_line, torn));
+    text.resize(last + last_line.size() / 2);
+    writeFile(manifest_path_, text);
+
+    // Resume salvages the N-1 complete lines and re-runs the torn task.
+    sup::resetForTest();
+    opt.resume = true;
+    sup::setOptions(opt);
+    std::vector<std::string> resumed;
+    sup::SweepReport report = sup::run("torn-sweep", tasks, resumed, 1);
+    EXPECT_EQ(report.salvaged, kTasks - 1);
+    EXPECT_EQ(report.completed, 1u);
+    EXPECT_EQ(executions.load(), kTasks + 1);
+    EXPECT_EQ(resumed, reference);
+
+    // The re-run's line starts on a line of its own, so a second resume
+    // salvages every task.
+    sup::resetForTest();
+    sup::setOptions(opt);
+    std::vector<std::string> again;
+    report = sup::run("torn-sweep", tasks, again, 1);
+    EXPECT_EQ(report.salvaged, kTasks);
+    EXPECT_EQ(executions.load(), kTasks + 1);
+    EXPECT_EQ(again, reference);
 }
 
 TEST_F(SupervisorTest, OnlyRunsSingleTaskIndex)
@@ -416,12 +491,12 @@ TEST_F(SupervisorTest, OnlyLeavesNestedGuardedMapsWhole)
     opt.only = 1;
     sup::setOptions(opt);
 
-    // --only picks grid point 1 of the outer sweep; the guardedMap that
+    // --only picks grid point 1 of the outer sweep; the named map that
     // point runs inside must still compute every one of its indices.
     std::vector<sup::Task> tasks;
     for (size_t i = 0; i < 3; ++i) {
         tasks.push_back([i]() -> std::string {
-            std::vector<int> inner = sup::guardedMap<int>(
+            std::vector<int> inner = sup::map<int>(
                 strCat("nested-", i), 3,
                 [](size_t j) { return static_cast<int>(10 + j); }, 2);
             std::string out;
@@ -444,14 +519,14 @@ TEST_F(SupervisorTest, GuardedMapReturnsTypedResultsAndThrows)
 {
     sup::setOptions(sup::Options{});
 
-    std::vector<int> squares = sup::guardedMap<int>(
+    std::vector<int> squares = sup::map<int>(
         "map-ok", 6, [](size_t i) { return static_cast<int>(i * i); },
         3);
     ASSERT_EQ(squares.size(), 6u);
     for (size_t i = 0; i < squares.size(); ++i)
         EXPECT_EQ(squares[i], static_cast<int>(i * i));
 
-    EXPECT_THROW(sup::guardedMap<int>(
+    EXPECT_THROW(sup::map<int>(
                      "map-bad", 3,
                      [](size_t i) -> int {
                          if (i == 1)
@@ -460,6 +535,11 @@ TEST_F(SupervisorTest, GuardedMapReturnsTypedResultsAndThrows)
                      },
                      3),
                  sweep::SweepError);
+
+    // Named maps are reported; the anonymous pool entry keeps no state.
+    EXPECT_EQ(sup::reports().size(), 2u);
+    sweep::map<int>(4, [](size_t i) { return static_cast<int>(i); }, 2);
+    EXPECT_EQ(sup::reports().size(), 2u);
 }
 
 TEST_F(SupervisorTest, GuardBudgetsPropagateIntoNestedSweeps)
@@ -476,7 +556,7 @@ TEST_F(SupervisorTest, GuardBudgetsPropagateIntoNestedSweeps)
             4,
             [](size_t) -> uint64_t {
                 EXPECT_TRUE(sup::guardActive());
-                sup::chargeGuardEvents(4000);
+                sup::checkGuard(4000);
                 return 1;
             },
             4);
@@ -485,7 +565,7 @@ TEST_F(SupervisorTest, GuardBudgetsPropagateIntoNestedSweeps)
     }};
     std::vector<std::string> payloads;
     sup::SweepReport report =
-        sup::runUncheckpointed("nested-budget", tasks, payloads, 1);
+        sup::run("nested-budget", tasks, payloads, 1);
     EXPECT_EQ(report.failed, 1u);
     ASSERT_FALSE(report.errors.empty());
     EXPECT_EQ(report.errors[0].kind,

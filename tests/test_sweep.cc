@@ -56,9 +56,10 @@ TEST(SweepEngine, AllTasksRunDespiteThrow)
         sweep::run(std::move(tasks), 4);
         FAIL() << "expected SweepError";
     } catch (const sweep::SweepError &e) {
-        // Every failure is reported, in task-index order, independent of
-        // scheduling.
+        // Every failure is reported with its kind, in task-index order,
+        // independent of scheduling.
         ASSERT_EQ(e.failures().size(), 2u);
+        EXPECT_EQ(e.kind(), sweep::TaskErrorKind::kException);
         EXPECT_EQ(e.failures()[0].task, 3u);
         EXPECT_EQ(e.failures()[0].message, "task 3 failed");
         EXPECT_EQ(e.failures()[1].task, 5u);
@@ -67,25 +68,6 @@ TEST(SweepEngine, AllTasksRunDespiteThrow)
                   std::string::npos);
     }
     EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(SweepEngine, SingleFailureRethrownVerbatim)
-{
-    std::vector<std::function<void()>> tasks;
-    for (int i = 0; i < 4; ++i) {
-        tasks.push_back([i] {
-            if (i == 2)
-                fatal("task 2 failed");
-        });
-    }
-    // One failure: the original exception type survives for callers that
-    // match on FatalError.
-    try {
-        sweep::run(std::move(tasks), 4);
-        FAIL() << "expected FatalError";
-    } catch (const FatalError &e) {
-        EXPECT_STREQ(e.what(), "task 2 failed");
-    }
 }
 
 TEST(SweepEngine, NestedSweepStillCorrect)
@@ -109,9 +91,12 @@ TEST(SweepEngine, NestedSweepStillCorrect)
 
 TEST(SweepEngine, DefaultJobsOverride)
 {
-    sweep::setDefaultJobs(3);
+    sweep::Options opt = sweep::options();
+    opt.jobs = 3;
+    sweep::setOptions(opt);
     EXPECT_EQ(sweep::defaultJobs(), 3u);
-    sweep::setDefaultJobs(0);
+    opt.jobs = 0;
+    sweep::setOptions(opt);
     EXPECT_GE(sweep::defaultJobs(), 1u);
 }
 

@@ -55,7 +55,6 @@
 #include "common/strings.hh"
 #include "fault/fault.hh"
 #include "isolbench/scenario.hh"
-#include "isolbench/supervisor.hh"
 #include "isolbench/sweep.hh"
 #include "stats/fault_table.hh"
 #include "stats/table.hh"
@@ -246,7 +245,7 @@ main(int argc, char **argv)
     std::vector<KnobWrite> writes;
     bool csv = false;
     workload::AdversaryKind adversary = workload::AdversaryKind::kNone;
-    supervisor::Options sup = supervisor::options();
+    sweep::Options run_opt = sweep::options();
 
     auto next_value = [&](int &i, const char *opt) -> std::string {
         if (i + 1 >= argc)
@@ -304,21 +303,6 @@ main(int argc, char **argv)
             if (!profile)
                 usageError("bad --faults (off|media|thermal|all)");
             cfg.faults = fault::profileConfig(*profile);
-        } else if (arg == "--jobs") {
-            auto parsed = parseUint(next_value(i, "--jobs"));
-            if (!parsed || *parsed == 0)
-                usageError("bad --jobs");
-            sweep::setDefaultJobs(static_cast<uint32_t>(*parsed));
-        } else if (arg == "--task-timeout-ms") {
-            auto parsed = parseUint(next_value(i, "--task-timeout-ms"));
-            if (!parsed)
-                usageError("bad --task-timeout-ms");
-            sup.task_timeout_ms = static_cast<double>(*parsed);
-        } else if (arg == "--task-max-events") {
-            auto parsed = parseUint(next_value(i, "--task-max-events"));
-            if (!parsed)
-                usageError("bad --task-max-events");
-            sup.max_task_events = *parsed;
         } else if (arg == "--adversary") {
             auto parsed =
                 workload::parseAdversary(next_value(i, "--adversary"));
@@ -337,9 +321,17 @@ main(int argc, char **argv)
         } else if (arg == "--csv") {
             csv = true;
         } else {
-            usageError("unknown option '" + arg + "'");
+            bool taken = false;
+            try {
+                taken = sweep::parseFlag(argc, argv, i, run_opt, false);
+            } catch (const FatalError &e) {
+                usageError(e.what());
+            }
+            if (!taken)
+                usageError("unknown option '" + arg + "'");
         }
     }
+    sweep::setOptions(run_opt);
 
     if (apps.empty()) {
         printUsage();
@@ -352,12 +344,13 @@ main(int argc, char **argv)
             uint32_t index;
             std::string name;
         };
-        std::optional<Scenario> scenario_slot;
-        std::vector<Placed> placed;
-        auto buildAndRun = [&] {
-            // Built here so a supervised run's guards cover setup too.
-            scenario_slot.emplace(cfg);
-            Scenario &scenario = *scenario_slot;
+        // One pool task, run inline: its guard (--task-timeout-ms,
+        // --task-max-events) covers the whole run, so a wedged or
+        // invalid configuration fails with a classified error instead
+        // of hanging the terminal.
+        sweep::run({[&] {
+            Scenario scenario(cfg);
+            std::vector<Placed> placed;
             uint32_t device_rr = 0;
             for (const AppArg &app : apps) {
                 for (uint32_t c = 0; c < app.count; ++c) {
@@ -382,70 +375,54 @@ main(int argc, char **argv)
                                           write.file, write.value);
             }
             scenario.run();
-        };
 
-        if (sup.task_timeout_ms > 0.0 || sup.max_task_events > 0) {
-            // Supervised run: watchdog/event-budget guards, so a wedged
-            // or invalid configuration fails with a classified error
-            // instead of hanging the terminal.
-            supervisor::setOptions(sup);
-            supervisor::guardedMap<int>("cli", 1, [&](size_t) {
-                buildAndRun();
-                return 0;
-            });
-        } else {
-            buildAndRun();
-        }
-        Scenario &scenario = *scenario_slot;
-
-        stats::Table table({"app", "cgroup", "MiB/s", "IOPS",
-                            "P50 us", "P99 us", "P99.9 us"});
-        for (const Placed &p : placed) {
-            const workload::FioJob &job = scenario.app(p.index);
-            double secs = nsToSec(scenario.windowNs());
-            table.addRow(
-                {p.name, scenario.appGroup(p.index).name(),
-                 formatDouble(job.windowBandwidth() /
-                                  static_cast<double>(MiB), 1),
-                 formatDouble(static_cast<double>(job.windowIos()) /
-                                  secs, 0),
-                 formatDouble(nsToUs(job.latency().percentile(50)), 1),
-                 formatDouble(nsToUs(job.latency().percentile(99)), 1),
-                 formatDouble(nsToUs(job.latency().percentile(99.9)),
-                              1)});
-        }
-        std::fputs(csv ? table.toCsv().c_str()
-                       : table.toAligned().c_str(),
-                   stdout);
-        std::printf("%saggregate %.2f GiB/s, CPU %.1f%%, knob %s\n",
-                    csv ? "# " : "\n", scenario.aggregateGiBs(),
-                    scenario.cpuUtilization() * 100.0,
-                    knobName(cfg.knob));
-
-        if (cfg.faults.any()) {
-            std::puts("\nfault counters:");
-            for (uint32_t d = 0; d < scenario.numDevices(); ++d) {
-                stats::Table faults = stats::deviceFaultTable(
-                    strCat("nvme", d), scenario.ssd(d).faultStats(),
-                    scenario.device(d).faultStats());
-                std::fputs(csv ? faults.toCsv().c_str()
-                               : faults.toAligned().c_str(),
-                           stdout);
+            stats::Table table({"app", "cgroup", "MiB/s", "IOPS",
+                                "P50 us", "P99 us", "P99.9 us"});
+            for (const Placed &p : placed) {
+                const workload::FioJob &job = scenario.app(p.index);
+                double secs = nsToSec(scenario.windowNs());
+                table.addRow(
+                    {p.name, scenario.appGroup(p.index).name(),
+                     formatDouble(job.windowBandwidth() /
+                                      static_cast<double>(MiB), 1),
+                     formatDouble(static_cast<double>(job.windowIos()) /
+                                      secs, 0),
+                     formatDouble(nsToUs(job.latency().percentile(50)), 1),
+                     formatDouble(nsToUs(job.latency().percentile(99)), 1),
+                     formatDouble(nsToUs(job.latency().percentile(99.9)),
+                                  1)});
             }
-            stats::Table per_cg = stats::cgroupFaultTable(scenario.tree());
-            if (per_cg.numRows() > 0) {
-                std::fputs(csv ? per_cg.toCsv().c_str()
-                               : per_cg.toAligned().c_str(),
-                           stdout);
+            std::fputs(csv ? table.toCsv().c_str()
+                           : table.toAligned().c_str(),
+                       stdout);
+            std::printf("%saggregate %.2f GiB/s, CPU %.1f%%, knob %s\n",
+                        csv ? "# " : "\n", scenario.aggregateGiBs(),
+                        scenario.cpuUtilization() * 100.0,
+                        knobName(cfg.knob));
+
+            if (cfg.faults.any()) {
+                std::puts("\nfault counters:");
+                for (uint32_t d = 0; d < scenario.numDevices(); ++d) {
+                    stats::Table faults = stats::deviceFaultTable(
+                        strCat("nvme", d), scenario.ssd(d).faultStats(),
+                        scenario.device(d).faultStats());
+                    std::fputs(csv ? faults.toCsv().c_str()
+                                   : faults.toAligned().c_str(),
+                               stdout);
+                }
+                stats::Table per_cg = stats::cgroupFaultTable(scenario.tree());
+                if (per_cg.numRows() > 0) {
+                    std::fputs(csv ? per_cg.toCsv().c_str()
+                                   : per_cg.toAligned().c_str(),
+                               stdout);
+                }
             }
-        }
-    } catch (const FatalError &e) {
-        std::fprintf(stderr, "isolbench: %s\n", e.what());
-        return 1;
-    } catch (const std::exception &e) {
-        // SweepError (supervised run failed), invariant violations
-        // from result validation, watchdog/budget aborts.
-        std::fprintf(stderr, "isolbench: %s\n", e.what());
+        }});
+    } catch (const sweep::SweepError &e) {
+        // Configuration errors, invariant violations from result
+        // validation, watchdog/budget aborts.
+        std::fprintf(stderr, "isolbench: %s\n",
+                     e.failures().front().message.c_str());
         return 1;
     }
     return 0;

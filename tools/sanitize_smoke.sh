@@ -8,9 +8,10 @@
 #      campaign with runtime invariants on, and the D5 degraded-tenant
 #      study with ISOL_CHECK_INVARIANTS=1 — faults, adversaries and the
 #      invariant hooks all under the sanitizer.
-#   2. TSan build: the sweep-engine determinism tests and the fig5
-#      bench with 4 worker threads, the configuration that exercises
-#      the shared-nothing worker pool hardest.
+#   2. TSan build: the sweep-layer tests (pool determinism, and the
+#      guard copy into workers plus the checkpoint-log lock) and the
+#      fig5 bench with 4 worker threads, the configuration that
+#      exercises the shared-nothing worker pool hardest.
 #
 # Usage: tools/sanitize_smoke.sh [asan-build-dir] [tsan-build-dir]
 #        (defaults: build-asan build-tsan)
@@ -42,8 +43,10 @@ ISOL_CHECK_INVARIANTS=1 "$ASAN_DIR/examples/degraded_tenant"
 echo "== TSan =="
 cmake -S "$SRC_DIR" -B "$TSAN_DIR" -DISOL_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j --target test_sweep
+cmake --build "$TSAN_DIR" -j --target test_supervisor
 cmake --build "$TSAN_DIR" -j --target fig5_fairness
 ISOL_JOBS=4 "$TSAN_DIR/tests/test_sweep"
+ISOL_JOBS=4 "$TSAN_DIR/tests/test_supervisor"
 (cd "$TSAN_DIR" && ISOL_BENCH_QUICK=1 ./bench/fig5_fairness --jobs 4)
 
 echo "sanitize_smoke: OK"
